@@ -9,6 +9,7 @@ offered load vs capacity exactly as in a real cluster.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Optional
 
 from repro.sim.events import EventKernel
@@ -68,8 +69,20 @@ class TaskPool:
         }
         self._kind_labels = {kind: kind.name.lower() for kind in RpcKind}
         self._exec_span_name = f"{name}.exec"
-        self._tasks = [_Task(i) for i in range(initial_tasks)]
+        # task_id -> task; ids only grow, so insertion order is ascending
+        # id order (crash-victim selection depends on it)
+        self._tasks = {i: _Task(i) for i in range(initial_tasks)}
         self._next_task_id = initial_tasks
+        # Every task sits in exactly one of two min-heaps, so dispatch
+        # costs O(log tasks) instead of a scan. ``_busy`` holds
+        # (busy_until_us, task_id); ``_idle`` holds the ids of tasks whose
+        # service time has ended. Idle means ``busy_until_us <= now`` —
+        # not "its completion callback has run": in a same-instant wave
+        # the first completion re-dispatches onto siblings whose
+        # completion events are still in the kernel heap. Dispatch moves
+        # due entries over and serves the lowest idle id.
+        self._busy: list[tuple[int, int]] = []
+        self._idle = list(self._tasks)
         #: optional :class:`repro.service.overload.QueueDiscipline` — when
         #: set, dispatch feeds queue waits to its adaptive limiter and
         #: sheds RPCs whose sojourn blew the CoDel target
@@ -99,20 +112,29 @@ class TaskPool:
     def add_tasks(self, count: int) -> None:
         """Grow the pool and drain queued work onto the new tasks."""
         for _ in range(count):
-            self._tasks.append(_Task(self._next_task_id))
-            self._next_task_id += 1
+            self._add_task()
         self._record_size()
         self._dispatch()
 
+    def _add_task(self) -> None:
+        task_id = self._next_task_id
+        self._next_task_id += 1
+        self._tasks[task_id] = _Task(task_id)
+        heappush(self._idle, task_id)
+
     def remove_tasks(self, count: int) -> int:
-        """Shrink (never below one task). In-flight work finishes first
-        because busy tasks are removed lazily at their completion."""
-        removable = min(count, len(self._tasks) - 1)
+        """Shrink by up to ``count`` idle tasks, lowest ids first (never
+        below one task). Only idle tasks are removed, so in-flight work
+        is never lost; returns how many were removed."""
+        tasks = self._tasks
         now = self.kernel.now_us
-        idle = [t for t in self._tasks if t.busy_until_us <= now]
-        victims = idle[:removable]
-        for task in victims:
-            self._tasks.remove(task)
+        idle = [
+            task_id for task_id, task in tasks.items() if task.busy_until_us <= now
+        ]
+        victims = idle[: min(count, len(tasks) - 1)]
+        for task_id in victims:
+            del tasks[task_id]
+        self._rebuild_heaps()
         self._record_size()
         return len(victims)
 
@@ -130,15 +152,15 @@ class TaskPool:
         tasks = self._tasks
         for _ in range(count):
             victim = None
-            for task in tasks:
+            for task in tasks.values():
                 if task.current_rpc is not None:
                     victim = task
                     break
-            if victim is None and tasks:
-                victim = tasks[0]
             if victim is None:
-                break
-            tasks.remove(victim)
+                victim = next(iter(tasks.values()))
+            del tasks[victim.task_id]
+            # before the callbacks below can re-enter _dispatch
+            self._rebuild_heaps()
             rpc = victim.current_rpc
             if rpc is not None:
                 victim.current_event.cancel()
@@ -151,8 +173,7 @@ class TaskPool:
                         self.scheduler.enqueue(rpc)
                 else:
                     rpc.reject("task crashed")
-            tasks.append(_Task(self._next_task_id))
-            self._next_task_id += 1
+            self._add_task()
             crashed += 1
         if crashed:
             if self.metrics is not None:
@@ -162,6 +183,17 @@ class TaskPool:
             self._record_size()
             self._dispatch()
         return crashed
+
+    def _rebuild_heaps(self) -> None:
+        """Re-derive both heaps from ``_tasks`` after tasks that may sit
+        in either one left the pool. In place (a re-entered _dispatch
+        holds references); a sorted list is a heap, and dispatch refills
+        ``_idle`` from it."""
+        self._idle.clear()
+        self._busy[:] = sorted(
+            (task.busy_until_us, task_id)
+            for task_id, task in self._tasks.items()
+        )
 
     def _record_size(self) -> None:
         if self.metrics is not None:
@@ -178,23 +210,27 @@ class TaskPool:
         scheduler = self.scheduler
         if scheduler.pending == 0:
             return
-        tasks = self._tasks
         now = self.kernel.clock._now_us
+        busy = self._busy
+        idle = self._idle
         # cheap exits first (nothing queued / every task busy) before
         # binding the rest of the dispatch state
-        task = None
-        for candidate in tasks:
-            if candidate.busy_until_us <= now:
-                task = candidate
-                break
-        if task is None:
+        if not idle and (not busy or busy[0][0] > now):
             return
+        tasks = self._tasks
         kernel = self.kernel
         metrics = self.metrics
         speedup = self.speedup
         pick = scheduler.pick
         overload = self.overload
         while True:
+            # re-checked every round: an assignment, or a reject/shed
+            # callback that submitted and re-entered _dispatch, may have
+            # taken the last idle task
+            while busy and busy[0][0] <= now:
+                heappush(idle, heappop(busy)[1])
+            if not idle:
+                return
             rpc = pick()
             if rpc is None:
                 return
@@ -216,10 +252,14 @@ class TaskPool:
                     # stale work (the hook ledgers and rejects)
                     self.shed_hook(rpc)
                     continue
+            task_id = heappop(idle)
+            task = tasks[task_id]
             cost = rpc.cpu_cost_us
             service_us = max(1, round(cost / speedup)) if speedup != 1.0 else cost
             finish = now + service_us
             task.busy_until_us = finish
+            # reprolint: disable=hot-loop-alloc -- the heap entry is the per-RPC state that replaces an O(tasks) scan; an int pair is the smallest key that orders by (finish, task id)
+            heappush(busy, (finish, task_id))
             self._busy_us_accum += service_us
             self.busy_us_total += service_us
             if self._profiler_on:
@@ -239,7 +279,7 @@ class TaskPool:
                         "database_id": rpc.database_id,
                         "kind": self._kind_labels[rpc.kind],
                         "queue_wait_us": now - rpc.arrival_us,
-                        "task": task.task_id,
+                        "task": task_id,
                         # critical-path self-classification: uncovered time
                         # inside an exec span is CPU service, not a gap
                         "self_cause": "service",
@@ -252,24 +292,14 @@ class TaskPool:
             task.current_event = event
             if scheduler.pending == 0:
                 return
-            task = None
-            for candidate in tasks:
-                if candidate.busy_until_us <= now:
-                    task = candidate
-                    break
-            if task is None:
-                return
-
-    def _free_task(self, now_us: int) -> Optional[_Task]:
-        for task in self._tasks:
-            if task.busy_until_us <= now_us:
-                return task
-        return None
 
     def _make_completion(self, task: _Task, rpc: Rpc, finish_us: int):
         def complete() -> None:
-            task.current_rpc = None
-            task.current_event = None
+            # a same-instant sibling's dispatch may already have handed
+            # this task its next RPC: clear only our own in-flight pair
+            if task.current_rpc is rpc:
+                task.current_rpc = None
+                task.current_event = None
             self.completed += 1
             if self.metrics is not None:
                 self.metrics.counter("pool_completed", pool=self.name).inc()

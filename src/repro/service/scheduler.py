@@ -14,20 +14,21 @@ arm of the Figure 11 experiment.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush, heapreplace
 from typing import Optional
 
 from repro.service.rpc import Rpc
 
-_INF = float("inf")
-
 
 class _DatabaseQueue:
-    __slots__ = ("interactive", "batch", "virtual_time_us")
+    __slots__ = ("interactive", "batch", "virtual_time_us", "creation_seq")
 
-    def __init__(self) -> None:
+    def __init__(self, creation_seq: int) -> None:
         self.interactive: deque = deque()
         self.batch: deque = deque()
         self.virtual_time_us = 0.0
+        #: tie-break between equal virtual times: earliest-created wins
+        self.creation_seq = creation_seq
 
     def __len__(self) -> int:
         return len(self.interactive) + len(self.batch)
@@ -49,7 +50,7 @@ class FairShareScheduler:
         "tracer",
         "clock",
         "_queues",
-        "_queue_view",
+        "_runnable",
         "_fifo",
         "_global_virtual_us",
         "enqueued",
@@ -70,9 +71,12 @@ class FairShareScheduler:
         self.tracer = None
         self.clock = None
         self._queues: dict[str, _DatabaseQueue] = {}
-        # a dict view is live, so build it once: pick() iterates it per
-        # dispatch and a fresh .values() call per pick adds up
-        self._queue_view = self._queues.values()
+        # min-heap of (virtual_time_us, creation_seq, queue), one entry
+        # per non-empty queue: pick() costs O(log runnable) however many
+        # idle databases exist. A queue's virtual time only moves while
+        # it is out of the heap (popped in pick, empty in enqueue), so
+        # an entry's key never goes stale.
+        self._runnable: list[tuple[float, int, _DatabaseQueue]] = []
         self._fifo: deque[Rpc] = deque()
         #: floor for virtual time of newly-active databases, so an idle
         #: database cannot bank unbounded credit
@@ -96,12 +100,19 @@ class FairShareScheduler:
             return
         queue = self._queues.get(rpc.database_id)
         if queue is None:
-            queue = _DatabaseQueue()
+            # queues are never evicted, so the count is a fresh sequence
+            # number in creation order
+            queue = _DatabaseQueue(len(self._queues))
             self._queues[rpc.database_id] = queue
         if not queue.interactive and not queue.batch:
             # (re)activating: start from the current global virtual time
-            if queue.virtual_time_us < self._global_virtual_us:
-                queue.virtual_time_us = self._global_virtual_us
+            virtual_time_us = queue.virtual_time_us
+            if virtual_time_us < self._global_virtual_us:
+                virtual_time_us = self._global_virtual_us
+                queue.virtual_time_us = virtual_time_us
+            heappush(
+                self._runnable, (virtual_time_us, queue.creation_seq, queue)
+            )
         if rpc.latency_sensitive:
             queue.interactive.append(rpc)
         else:
@@ -117,36 +128,21 @@ class FairShareScheduler:
             rpc = self._fifo.popleft()
             self._record_dispatch(rpc)
             return rpc
-        # one pass tracking best and runner-up virtual times: the
-        # post-pop global floor is derived from these two, avoiding a
-        # second sweep (and a per-pick generator) over the queues
-        best_queue: Optional[_DatabaseQueue] = None
-        best_vt = 0.0
-        second_vt = _INF
-        for queue in self._queue_view:
-            if not queue.interactive and not queue.batch:
-                continue
-            vt = queue.virtual_time_us
-            if best_queue is None:
-                best_queue = queue
-                best_vt = vt
-            elif vt < best_vt:
-                second_vt = best_vt
-                best_queue = queue
-                best_vt = vt
-            elif vt < second_vt:
-                second_vt = vt
-        if best_queue is None:
+        runnable = self._runnable
+        if not runnable:
             return None
-        rpc = best_queue.pop()
+        best_vt, creation_seq, queue = runnable[0]
+        rpc = queue.pop()
         new_vt = best_vt + rpc.cpu_cost_us
-        best_queue.virtual_time_us = new_vt
-        # min virtual time over queues still runnable after this pop
-        # (the picked queue re-enters at its advanced time if non-empty)
-        if best_queue.interactive or best_queue.batch:
-            floor = new_vt if new_vt < second_vt else second_vt
+        queue.virtual_time_us = new_vt
+        # the picked queue re-enters at its advanced time if non-empty;
+        # the heap top is then the min virtual time still runnable
+        if queue.interactive or queue.batch:
+            heapreplace(runnable, (new_vt, creation_seq, queue))
+            floor = runnable[0][0]
         else:
-            floor = second_vt if second_vt is not _INF else new_vt
+            heappop(runnable)
+            floor = runnable[0][0] if runnable else new_vt
         if floor > self._global_virtual_us:
             self._global_virtual_us = floor
         self.dispatched += 1

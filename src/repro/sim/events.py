@@ -14,10 +14,10 @@ a handful of these events, so wall-clock events/sec bounds how many
 tenants a run can drive. The dispatch loop is therefore written for
 speed, and ``perflint`` (:mod:`repro.analysis.engine`) holds it to that:
 heap entries are plain ``(time_us, priority, seq, event)`` tuples so
-heap sift comparisons stay in C instead of calling a Python ``__lt__``,
-:class:`Event` is an allocation-lean ``__slots__`` record, and the loop
-binds its hot attribute chains (heap, clock, profiler) to locals once
-per run instead of re-resolving them per event.
+heap sift comparisons stay in C, :class:`Event` is an allocation-lean
+``__slots__`` record, and the loop binds its hot attribute chains (heap,
+clock, profiler) to locals once per run instead of re-resolving them per
+event.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from repro.sim.clock import SimClock
 
 
 class Event:
-    """A scheduled callback. Ordered by (time, priority, sequence number).
+    """A scheduled callback; the kernel's heap entries order events by
+    (time, priority, sequence number).
 
     ``priority`` defaults to 0 and only matters between events scheduled
     for the same instant: a schedule perturber (see
@@ -54,16 +55,6 @@ class Event:
         self.callback = callback
         self.cancelled = False
         self.label = label
-
-    def __lt__(self, other: "Event") -> bool:
-        # int-only comparisons: no tuple built per compare (the heap
-        # itself orders tuples and never reaches this; kept so Events
-        # still sort sensibly for tests and debugging)
-        if self.time_us != other.time_us:
-            return self.time_us < other.time_us
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when popped."""

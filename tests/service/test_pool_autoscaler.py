@@ -83,6 +83,50 @@ class TestTaskPool:
         with pytest.raises(ValueError):
             TaskPool("p", EventKernel(), initial_tasks=0)
 
+    def test_reject_callback_that_submits_cannot_double_book_a_task(self):
+        """An expired RPC's reject callback submits a retry, re-entering
+        dispatch, which takes the only idle task for the next queued RPC;
+        the outer dispatch loop must then find no task left."""
+        kernel = EventKernel()
+        pool = TaskPool("p", kernel, initial_tasks=1)
+        latencies = []
+        pool.submit(make_rpc(latencies, cost=100))
+        expired = make_rpc(latencies, cost=100)
+        expired.deadline_us = 50
+        expired.on_reject = lambda rpc, reason: pool.submit(
+            make_rpc(latencies, cost=100)
+        )
+        pool.submit(expired)
+        pool.submit(make_rpc(latencies, cost=100))
+        kernel.drain()
+        assert latencies == [100, 200, 300]
+
+    def test_stale_completion_keeps_redispatched_rpc_crashable(self):
+        """At t=100 A's completion re-dispatches C and D onto both tasks
+        before B's completion runs; B's (stale) completion must not erase
+        D's in-flight pair, or a crash at t=150 cannot requeue D."""
+        kernel = EventKernel()
+        pool = TaskPool("p", kernel, initial_tasks=2)
+        finished = {}
+        for name in "ABCD":
+            pool.submit(
+                Rpc(
+                    "db",
+                    RpcKind.GET,
+                    100,
+                    0,
+                    on_complete=lambda rpc, latency, name=name: finished.update(
+                        {name: latency}
+                    ),
+                )
+            )
+        kernel.run_until(150)
+        assert finished == {"A": 100, "B": 100}
+        assert pool.crash_tasks(2) == 2
+        kernel.drain()
+        # both in-flight RPCs were lost at 150 and re-served from scratch
+        assert finished == {"A": 100, "B": 100, "C": 250, "D": 250}
+
 
 class TestAutoscaler:
     def _saturate(self, pool, kernel, rate_per_sec, cost, duration_s):
