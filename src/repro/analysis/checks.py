@@ -568,13 +568,17 @@ def check_error_boundary(module: ParsedModule) -> list[Diagnostic]:
     return out
 
 
-# -- history-recorder coverage ------------------------------------------------
+# -- instrumentation-tap coverage ---------------------------------------------
+#
+# Three planes (history recorder, sim-time profiler, wait causes) are fed
+# from taps inside hot-path functions. A refactor that rewrites one of
+# those functions without re-plumbing its tap fails silently and far from
+# the diff, so each plane keeps a registry — module rel-path ->
+# ``Class.method`` / module-level function names — and one check holds
+# all three to it.
 
-#: The hot-path methods that must feed the repro.check history recorder.
-#: A future refactor that rewrites one of these without re-plumbing the
-#: tap would silently blind the consistency checker — this check makes
-#: the omission a lint failure instead. Keys are module rel-paths, values
-#: are ``Class.method`` names that must reference ``recorder``.
+#: The hot-path methods that must feed the repro.check history recorder;
+#: without the tap the consistency checker is blind to that path.
 REQUIRED_HISTORY_TAPS: dict[str, frozenset[str]] = {
     "spanner/transaction.py": frozenset(
         {
@@ -611,69 +615,10 @@ REQUIRED_HISTORY_TAPS: dict[str, frozenset[str]] = {
     ),
 }
 
-
-def _references_recorder(fn: ast.AST) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Attribute) and node.attr == "recorder":
-            return True
-        if isinstance(node, ast.Name) and node.id == "recorder":
-            return True
-    return False
-
-
-def check_history_tap(module: ParsedModule) -> list[Diagnostic]:
-    """Instrumented hot path lost its history-recorder tap."""
-    required = REQUIRED_HISTORY_TAPS.get(module.rel_path)
-    if not required:
-        return []
-    out = []
-    found: set[str] = set()
-    for cls in ast.walk(module.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for fn in cls.body:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            qualname = f"{cls.name}.{fn.name}"
-            if qualname not in required:
-                continue
-            found.add(qualname)
-            if not _references_recorder(fn):
-                out.append(
-                    _diag(
-                        module,
-                        fn,
-                        "history-tap",
-                        f"{qualname} must feed the repro.check history "
-                        "recorder (guard with 'if recorder is not None'); "
-                        "without the tap the consistency checker is blind "
-                        "to this path",
-                    )
-                )
-    for qualname in sorted(required - found):
-        first = module.tree.body[0] if module.tree.body else module.tree
-        out.append(
-            _diag(
-                module,
-                first,
-                "history-tap",
-                f"expected history-tapped method {qualname} was not "
-                "found; update REQUIRED_HISTORY_TAPS in "
-                "repro.analysis.checks if the hot path moved",
-            )
-        )
-    return out
-
-
-# -- profiler coverage --------------------------------------------------------
-
 #: The subsystem entry points that must feed the repro.obs sim-time
-#: profiler. The profiler's ≥99% busy-time coverage guarantee only holds
-#: while every path that advances (or accounts) simulated time carries a
-#: tag; a refactor that drops one silently under-attributes a subsystem
-#: and the regression gate starts comparing partial profiles. Keys are
-#: module rel-paths, values are ``Class.method`` names that must
-#: reference ``profiler``.
+#: profiler. Its ≥99% busy-time coverage guarantee only holds while every
+#: path that advances (or accounts) simulated time carries a tag; drop
+#: one and the regression gate starts comparing partial profiles.
 REQUIRED_PERF_TAPS: dict[str, frozenset[str]] = {
     "service/pool.py": frozenset({"TaskPool._dispatch"}),
     "service/overload.py": frozenset({"OverloadState.account_hedge"}),
@@ -689,77 +634,17 @@ REQUIRED_PERF_TAPS: dict[str, frozenset[str]] = {
     "replication/group.py": frozenset({"ReplicaGroup.commit"}),
 }
 
-
-def _references_profiler(fn: ast.AST) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Attribute) and node.attr == "profiler":
-            return True
-        if isinstance(node, ast.Name) and node.id == "profiler":
-            return True
-    return False
-
-
-def check_perf_attribution(module: ParsedModule) -> list[Diagnostic]:
-    """Subsystem entry point lost its sim-time profiler tag."""
-    required = REQUIRED_PERF_TAPS.get(module.rel_path)
-    if not required:
-        return []
-    out = []
-    found: set[str] = set()
-    for cls in ast.walk(module.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for fn in cls.body:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            qualname = f"{cls.name}.{fn.name}"
-            if qualname not in required:
-                continue
-            found.add(qualname)
-            if not _references_profiler(fn):
-                out.append(
-                    _diag(
-                        module,
-                        fn,
-                        "perf-attribution",
-                        f"{qualname} must carry a repro.obs profiler tag "
-                        "(account(...) or measure(...), guarded by "
-                        "'if profiler'); without it the profiler's busy-"
-                        "time coverage guarantee is broken for this path",
-                    )
-                )
-    for qualname in sorted(required - found):
-        first = module.tree.body[0] if module.tree.body else module.tree
-        out.append(
-            _diag(
-                module,
-                first,
-                "perf-attribution",
-                f"expected profiler-tagged entry point {qualname} was not "
-                "found; update REQUIRED_PERF_TAPS in "
-                "repro.analysis.checks if the entry point moved",
-            )
-        )
-    return out
-
-
-# -- wait-cause coverage ------------------------------------------------------
-
 #: The blocking paths that must annotate their waits with a structured
-#: cause for the critical-path engine (``repro.obs.critpath``). Tail
-#: coverage is gated at >= 99% attributed; a refactor that drops one of
-#: these taps silently turns its time into ``unattributed`` and the
-#: gate fails far from the diff that caused it — this check makes the
-#: omission a lint failure instead. Keys are module rel-paths, values
-#: are ``Class.method`` or module-level function names that must
-#: reference the wait plumbing (``.wait(...)``, ``record_wait(...)``,
-#: or a ``wait_cause`` error hint).
+#: cause for the critical-path engine (``repro.obs.critpath``): a
+#: ``.wait(...)``, a ``record_wait(...)``, or a ``wait_cause`` error
+#: hint. Tail coverage is gated at >= 99% attributed; a dropped tap turns
+#: its time into ``unattributed``.
 REQUIRED_WAIT_TAPS: dict[str, frozenset[str]] = {
     "service/pool.py": frozenset({"TaskPool._make_completion"}),
     "service/scheduler.py": frozenset(
         {"FairShareScheduler._record_dispatch"}
     ),
-    "service/cluster.py": frozenset({"ServingCluster.submit"}),
+    "service/cluster.py": frozenset({"_Request.settle"}),
     "service/overload.py": frozenset({"OverloadState.record_hedge_wait"}),
     "faults/retry.py": frozenset({"call_with_retry"}),
     "spanner/transaction.py": frozenset(
@@ -779,65 +664,92 @@ REQUIRED_WAIT_TAPS: dict[str, frozenset[str]] = {
     "core/transaction.py": frozenset({"run_transaction"}),
 }
 
-_WAIT_TAP_NAMES = ("wait", "record_wait", "wait_cause")
+#: check id -> (one-line description, registry, the names whose mention
+#: counts as the tap, message for a function that lost it, message for a
+#: registered function that no longer exists); ``{0}`` is the qualname
+_TAP_PLANES: dict[str, tuple] = {
+    "history-tap": (
+        "Instrumented hot path lost its history-recorder tap.",
+        REQUIRED_HISTORY_TAPS,
+        ("recorder",),
+        "{0} must feed the repro.check history recorder (guard with "
+        "'if recorder is not None'); without the tap the consistency "
+        "checker is blind to this path",
+        "expected history-tapped method {0} was not found; update "
+        "REQUIRED_HISTORY_TAPS in repro.analysis.checks if the hot path "
+        "moved",
+    ),
+    "perf-attribution": (
+        "Subsystem entry point lost its sim-time profiler tag.",
+        REQUIRED_PERF_TAPS,
+        ("profiler",),
+        "{0} must carry a repro.obs profiler tag (account(...) or "
+        "measure(...), guarded by 'if profiler'); without it the "
+        "profiler's busy-time coverage guarantee is broken for this path",
+        "expected profiler-tagged entry point {0} was not found; update "
+        "REQUIRED_PERF_TAPS in repro.analysis.checks if the entry point "
+        "moved",
+    ),
+    "wait-tap": (
+        "Blocking path lost its structured wait-cause annotation.",
+        REQUIRED_WAIT_TAPS,
+        ("wait", "record_wait", "wait_cause"),
+        "{0} must annotate its blocking interval with a structured wait "
+        "cause (span.wait(...) / tracer.record_wait(...) / an error's "
+        "wait_cause hint); without the tap repro.obs.critpath reports "
+        "this time as 'unattributed' and the tail-coverage gate fails",
+        "expected wait-tapped path {0} was not found; update "
+        "REQUIRED_WAIT_TAPS in repro.analysis.checks if the blocking "
+        "path moved",
+    ),
+}
+
+_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _references_wait_tap(fn: ast.AST) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Attribute) and node.attr in _WAIT_TAP_NAMES:
-            return True
-        if isinstance(node, ast.Name) and node.id in _WAIT_TAP_NAMES:
-            return True
-    return False
+def _tap_check(check_id: str):
+    """The check for one plane of :data:`_TAP_PLANES`."""
+    doc, registry, names, lost_tap, not_found = _TAP_PLANES[check_id]
 
-
-def check_wait_taps(module: ParsedModule) -> list[Diagnostic]:
-    """Blocking path lost its structured wait-cause annotation."""
-    required = REQUIRED_WAIT_TAPS.get(module.rel_path)
-    if not required:
-        return []
-    out = []
-    found: set[str] = set()
-
-    def visit(fn, qualname: str) -> None:
-        if qualname not in required:
-            return
-        found.add(qualname)
-        if not _references_wait_tap(fn):
-            out.append(
-                _diag(
-                    module,
-                    fn,
-                    "wait-tap",
-                    f"{qualname} must annotate its blocking interval with "
-                    "a structured wait cause (span.wait(...) / "
-                    "tracer.record_wait(...) / an error's wait_cause "
-                    "hint); without the tap repro.obs.critpath reports "
-                    "this time as 'unattributed' and the tail-coverage "
-                    "gate fails",
+    def check(module: ParsedModule) -> list[Diagnostic]:
+        required = registry.get(module.rel_path)
+        if not required:
+            return []
+        functions = [
+            (fn.name, fn)
+            for fn in module.tree.body
+            if isinstance(fn, _FUNCTION_DEFS)
+        ]
+        for cls in ast.walk(module.tree):
+            if isinstance(cls, ast.ClassDef):
+                functions += [
+                    (f"{cls.name}.{fn.name}", fn)
+                    for fn in cls.body
+                    if isinstance(fn, _FUNCTION_DEFS)
+                ]
+        out = []
+        found: set[str] = set()
+        for qualname, fn in functions:
+            if qualname not in required:
+                continue
+            found.add(qualname)
+            if not any(
+                getattr(node, "attr", None) in names
+                or getattr(node, "id", None) in names
+                for node in ast.walk(fn)
+            ):
+                out.append(
+                    _diag(module, fn, check_id, lost_tap.format(qualname))
                 )
-            )
-
-    for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            visit(node, node.name)
-        elif isinstance(node, ast.ClassDef):
-            for fn in node.body:
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    visit(fn, f"{node.name}.{fn.name}")
-    for qualname in sorted(required - found):
         first = module.tree.body[0] if module.tree.body else module.tree
-        out.append(
-            _diag(
-                module,
-                first,
-                "wait-tap",
-                f"expected wait-tapped path {qualname} was not found; "
-                "update REQUIRED_WAIT_TAPS in repro.analysis.checks if "
-                "the blocking path moved",
+        for qualname in sorted(required - found):
+            out.append(
+                _diag(module, first, check_id, not_found.format(qualname))
             )
-        )
-    return out
+        return out
+
+    check.__doc__ = doc
+    return check
 
 
 # -- trace hygiene ------------------------------------------------------------
@@ -938,9 +850,9 @@ CHECKS = {
     "layering": check_layering,
     "bare-except": check_bare_except,
     "error-boundary": check_error_boundary,
-    "history-tap": check_history_tap,
-    "perf-attribution": check_perf_attribution,
-    "wait-tap": check_wait_taps,
+    "history-tap": _tap_check("history-tap"),
+    "perf-attribution": _tap_check("perf-attribution"),
+    "wait-tap": _tap_check("wait-tap"),
     "trace-span-context": check_trace_span_context,
     "fault-seeded": check_fault_seeded,
 }

@@ -10,12 +10,6 @@ ledger (and everything derived from it: the top-N table, the collapsed
 flamegraph stacks, the profile JSON) is byte-identical under same-seed
 replay.
 
-Wall-clock self-time is tracked *separately*, per event label, fed by
-the event kernel's optional profiler hook (see
-:meth:`repro.sim.events.EventKernel.step`). Wall time is real and
-therefore non-deterministic; it never appears in the deterministic
-exports — :meth:`Profiler.wall_report` is the only way out.
-
 Sites consult the profiler duck-typed, the same way fault plans and
 history recorders are consulted: ``if profiler: profiler.account(...)``.
 :data:`NULL_PROFILER` is falsy, so un-instrumented runs pay one
@@ -44,10 +38,6 @@ class Profiler:
         self.metrics = metrics
         #: (subsystem, operation, database_id) -> [sim_us, calls]
         self._ledger: dict[tuple[str, str, str], list[int]] = {}
-        #: event label -> accumulated wall-clock nanoseconds (separate
-        #: plane: never exported with the deterministic artifacts)
-        self._wall_ns: dict[str, int] = {}
-        self._wall_events: dict[str, int] = {}
 
     def __bool__(self) -> bool:
         return True
@@ -84,11 +74,6 @@ class Profiler:
         busy time shows up as the clock advancing under fault delays.
         """
         return _Measure(self, subsystem, operation, clock, database_id)
-
-    def record_wall(self, label: str, wall_ns: int) -> None:
-        """Accumulate wall-clock self-time for one event label."""
-        self._wall_ns[label] = self._wall_ns.get(label, 0) + wall_ns
-        self._wall_events[label] = self._wall_events.get(label, 0) + 1
 
     # -- read side ---------------------------------------------------------
 
@@ -152,20 +137,6 @@ class Profiler:
             "entries": self.rows(),
         }
 
-    def wall_report(self) -> dict:
-        """Wall-clock self-time per event label — non-deterministic.
-
-        Kept out of :meth:`to_dict` on purpose: wall numbers vary run to
-        run and would break byte-identical replay if mixed in.
-        """
-        return {
-            label: {
-                "wall_ns": self._wall_ns[label],
-                "events": self._wall_events[label],
-            }
-            for label in sorted(self._wall_ns)
-        }
-
     def text_table(self, n: int = 10) -> str:
         """The top-N self-time table embedded in text reports."""
         rows = self.top_self(n)
@@ -216,9 +187,6 @@ class _NullProfiler:
         return False
 
     def account(self, *args, **kwargs) -> None:
-        pass
-
-    def record_wall(self, *args, **kwargs) -> None:
         pass
 
     def measure(self, subsystem, operation, clock, database_id=SHARED):

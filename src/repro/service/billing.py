@@ -37,14 +37,14 @@ class PriceSheet:
     per_gib_month_storage: float = 0.18
 
 
-@dataclass
+@dataclass(slots=True)
 class _DayCounters:
     reads: int = 0
     writes: int = 0
     deletes: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _DatabaseAccount:
     days: dict[int, _DayCounters] = field(default_factory=dict)
     storage_bytes: int = 0

@@ -32,6 +32,7 @@ from repro.service.overload import (
 )
 from repro.service.pool import TaskPool
 from repro.service.rpc import DEFAULT_CPU_COST_US, Rpc, RpcKind
+from repro.service.scheduler import FairShareScheduler
 
 #: RpcKind -> lowercase operation label; a dict hit per request beats an
 #: enum descriptor access plus a str.lower() allocation
@@ -39,7 +40,281 @@ _OPERATION = {kind: kind.value for kind in RpcKind}
 
 #: kinds billed as document reads (section IV-B)
 _READ_KINDS = frozenset({RpcKind.GET, RpcKind.QUERY, RpcKind.LISTEN})
-from repro.service.scheduler import FairShareScheduler
+
+#: kinds a follower replica may serve: bounded-staleness reads and the
+#: hedged backup of a slow primary read
+_FOLLOWER_READ_KINDS = (RpcKind.GET, RpcKind.QUERY)
+
+#: Frontend CPU per request: routing + session bookkeeping
+_FRONTEND_COST_US = 50
+
+
+@dataclass(slots=True, eq=False)
+class _Request:
+    """One admitted request's state; its methods are the stages it moves
+    through, posted to the pools and the kernel as bound methods::
+
+        submit ─► frontend_done ─► backend_done ─► settle ─► on_complete
+                       │   └─(armed)─► fire_hedge ─► hedge_done ─┘
+                       ▼                                 hedge_rejected
+        fail / fail_rpc ─► on_reject        (drop, deadline, shed, crash)
+
+    ``overload`` is None when the graceful-degradation layer is off, and
+    only with it on does the first terminal outcome win: ``settled``
+    then arbitrates between the primary, its failure paths and a hedged
+    backup read, and the router hears every outcome.
+    """
+
+    cluster: "ServingCluster"
+    database_id: str
+    kind: RpcKind
+    on_complete: Callable[[int], None]
+    on_reject: Optional[Callable[[str], None]]
+    cost_us: int
+    latency_sensitive: bool
+    memory_bytes: int
+    client_region: Optional[str]
+    deadline_us: Optional[int]
+    arrival_us: int
+    storage_us: int
+    #: client<->region round trip; rpc.delay / rpc.reorder add to it after
+    #: construction, so it is read only when the backend hop completes
+    network_us: int
+    root: Optional[object]
+    trace_ctx: Optional[object]
+    overload: Optional[OverloadState]
+    #: region the primary read was routed to (None = the home region)
+    hedge_primary: Optional[str]
+    settled: bool = False
+    hedge_net_us: int = 0
+    hedge_armed_us: int = 0
+
+    # -- failure ---------------------------------------------------------------
+
+    def fail(self, reason: str) -> None:
+        """Drops, expired deadlines, sheds: the admission slot is
+        returned and the caller hears why."""
+        cluster = self.cluster
+        database_id = self.database_id
+        now = cluster.kernel.clock._now_us
+        if self.overload is not None:
+            if self.settled:
+                return
+            self.settled = True
+            cluster.router.record_outcome(database_id, False, now)
+        cluster.admission.release(database_id, self.memory_bytes)
+        if cluster.metrics is not None:
+            cluster.metrics.counter(
+                "requests_failed",
+                database_id=database_id,
+                operation=_OPERATION[self.kind],
+            ).inc()
+        if cluster.slo:
+            cluster.slo.record("request", now, False)
+        root = self.root
+        if root is not None:
+            root.set_attribute("failed", reason)
+            root.end()
+        if self.on_reject is not None:
+            self.on_reject(reason)
+
+    def fail_rpc(self, rpc: Rpc, reason: str) -> None:
+        """``Rpc.on_reject`` of both hops."""
+        self.fail(reason)
+
+    # -- the primary path ------------------------------------------------------
+
+    def frontend_done(self, rpc: Rpc, frontend_latency_us: int) -> None:
+        """The Frontend hop finished: enqueue the Backend hop, arm a hedge."""
+        cluster = self.cluster
+        now = cluster.kernel.clock._now_us
+        deadline_us = self.deadline_us
+        if deadline_us is not None and now >= deadline_us:
+            self.fail("deadline exceeded after frontend hop")
+            return
+        self._enqueue_backend(now, self.storage_us, self.backend_done, self.fail_rpc)
+        overload = self.overload
+        if (
+            overload is not None
+            and overload.config.hedge_enabled
+            and self.kind in _FOLLOWER_READ_KINDS
+            and cluster.router.has_replicas(self.database_id)
+        ):
+            # the backup read fires if the primary has not answered
+            # within its p99 budget; first terminal outcome wins
+            self.hedge_armed_us = now
+            cluster.kernel.after(
+                overload.hedge_after_us(), self.fire_hedge, label="hedge-read"
+            )
+
+    def _enqueue_backend(self, now, storage_us, on_complete, on_reject) -> None:
+        """One Backend hop (the primary or a hedge) joins its pool's queue."""
+        cluster = self.cluster
+        database_id = self.database_id
+        # looked up as each hop is enqueued, not at submit: a database
+        # may be isolated while its requests are in flight
+        pool = cluster._isolated_pools.get(database_id, cluster.backend_pool)
+        pool.submit(
+            Rpc(
+                database_id=database_id,
+                kind=self.kind,
+                cpu_cost_us=self.cost_us,
+                arrival_us=now,
+                storage_latency_us=storage_us,
+                latency_sensitive=self.latency_sensitive,
+                deadline_us=self.deadline_us,
+                on_complete=on_complete,
+                on_reject=on_reject,
+                trace_ctx=self.trace_ctx,
+            )
+        )
+
+    def backend_done(self, rpc: Rpc, latency_us: int) -> None:
+        """The Backend hop (CPU + storage) finished: the primary answers."""
+        network_us = self.network_us
+        total_us = network_us + _FRONTEND_COST_US + latency_us
+        overload = self.overload
+        if overload is not None:
+            if self.settled:
+                # a hedge already answered: this is the losing arm
+                overload.account_hedge("waste", self.database_id)
+                return
+            self.settled = True
+            cluster = self.cluster
+            cluster.router.record_outcome(
+                self.database_id, True, cluster.kernel.clock._now_us
+            )
+            if self.kind in _READ_KINDS:
+                overload.read_latency.observe(total_us)
+                overload.hedges.on_read()
+        self.settle(total_us, network_us, self.storage_us)
+
+    def settle(self, total_us: int, net_us: int, store_us: int) -> None:
+        """Success: release, bill, feed every plane, answer the caller."""
+        cluster = self.cluster
+        database_id = self.database_id
+        kind = self.kind
+        operation = _OPERATION[kind]
+        cluster.admission.release(database_id, self.memory_bytes)
+        cluster.completed += 1
+        if kind in _READ_KINDS:
+            cluster.billing.record_reads(database_id)
+        elif kind is RpcKind.COMMIT:
+            cluster.billing.record_writes(database_id)
+        now = cluster.kernel.clock._now_us
+        if cluster._profiler_on:
+            # wire and storage time are busy time spent elsewhere on
+            # this request's behalf — attributed so the flame adds up
+            cluster.profiler.account(
+                "network", f"wire.{operation}", net_us, database_id
+            )
+            if store_us:
+                cluster.profiler.account(
+                    "spanner", f"storage.{operation}", store_us, database_id
+                )
+        slo = cluster.slo
+        if slo:
+            slo.record("request", now, True)
+            slo.record_latency("request.latency", now, total_us)
+        metrics = cluster.metrics
+        if metrics is not None:
+            metrics.counter(
+                "requests_completed",
+                database_id=database_id,
+                operation=operation,
+            ).inc()
+            metrics.histogram(
+                "request_latency_us",
+                database_id=database_id,
+                operation=operation,
+            ).observe(total_us)
+        root = self.root
+        if root is not None:
+            root.set_attributes(
+                {
+                    "latency_us": total_us,
+                    "network_us": net_us,
+                    "storage_us": store_us,
+                }
+            )
+            if net_us:
+                # network hops are priced arithmetically, never elapsed
+                # on the kernel — a *modeled* wait, added on top of the
+                # elapsed critical path by repro.obs.critpath
+                root.wait("rpc_network", duration_us=net_us)
+            root.end()
+        self.on_complete(total_us)
+
+    # -- the hedged backup read (overload layer on, GET/QUERY only) ------------
+
+    def fire_hedge(self) -> None:
+        """The primary is past its p99 budget: try a follower read."""
+        if self.settled:
+            return
+        cluster = self.cluster
+        now = cluster.kernel.clock._now_us
+        deadline_us = self.deadline_us
+        if deadline_us is not None and now >= deadline_us:
+            return
+        database_id = self.database_id
+        router = cluster.router
+        overload = self.overload
+        reader = (
+            self.client_region
+            if self.client_region is not None
+            else router.home_region(database_id)
+        )
+        region, _ts = router.route_read(
+            database_id, reader, overload.config.hedge_staleness_bound_us
+        )
+        primary = (
+            self.hedge_primary
+            if self.hedge_primary is not None
+            else router.home_region(database_id)
+        )
+        if region == primary:
+            # no distinct eligible follower: nothing to hedge to
+            return
+        if not overload.hedges.try_spend():
+            return
+        overload.account_hedge("fired", database_id)
+        if cluster._tracer_on:
+            # from hedge arming to firing, the request was waiting
+            # on the primary — blame the hedge delay explicitly
+            overload.record_hedge_wait(
+                cluster.tracer, self.trace_ctx, self.hedge_armed_us, now
+            )
+        self.hedge_net_us = 2 * router.pair_latency_us(reader, region)
+        self._enqueue_backend(
+            now,
+            cluster.latency.local_read_us(cluster.rand),
+            self.hedge_done,
+            self.hedge_rejected,
+        )
+
+    def hedge_done(self, rpc: Rpc, latency_us: int) -> None:
+        """The backup read finished; it answers only if it is first."""
+        overload = self.overload
+        database_id = self.database_id
+        if self.settled:
+            overload.account_hedge("waste", database_id)
+            return
+        self.settled = True
+        overload.account_hedge("win", database_id)
+        cluster = self.cluster
+        cluster.router.record_outcome(
+            database_id, True, cluster.kernel.clock._now_us
+        )
+        hedge_net_us = self.hedge_net_us
+        total_us = (rpc.arrival_us - self.arrival_us) + latency_us + hedge_net_us
+        overload.read_latency.observe(total_us)
+        overload.hedges.on_read()
+        self.settle(total_us, hedge_net_us, rpc.storage_latency_us)
+
+    def hedge_rejected(self, rpc: Rpc, reason: str) -> None:
+        """A failed hedge never fails the request — the primary is still
+        in flight (or already settled it)."""
+        self.overload.account_hedge("waste", self.database_id)
 
 
 @dataclass
@@ -88,9 +363,6 @@ class ServingCluster:
         #: optional repro.obs.slo.SloEngine; every completion/failure and
         #: fanout delivery feeds its request/staleness streams
         self.slo = slo
-        if profiler is not None and self.kernel.profiler is None:
-            # wall-clock self-time per event label rides on the kernel
-            self.kernel.profiler = profiler
         self.rand = SimRandom(self.config.seed).fork("cluster-latency")
         self.latency: LatencyModel = (
             MultiRegionalLatency() if self.config.multi_region else RegionalLatency()
@@ -321,7 +593,7 @@ class ServingCluster:
 
         cost = cpu_cost_us if cpu_cost_us is not None else DEFAULT_CPU_COST_US[kind]
         hedge_primary = None
-        if staleness_bound_us is not None and kind in (RpcKind.GET, RpcKind.QUERY):
+        if staleness_bound_us is not None and kind in _FOLLOWER_READ_KINDS:
             # bounded-staleness read: the chosen replica serves it from
             # local state — no leader quorum round trip on the read path
             reader = (
@@ -342,228 +614,38 @@ class ServingCluster:
             storage_us = self._storage_latency(kind, commit_participants)
             network_us = 2 * self.latency.rpc_us(self.rand)  # same-region client
         trace_ctx = root.context if root is not None else None
-        # first-terminal-outcome-wins guard, shared by the primary path,
-        # its failure paths, and a hedged backup read (None = layer off)
-        settled = [False] if overload is not None else None
-
-        def fail(reason: str) -> None:
-            # shared failure path for drops and expired deadlines: the
-            # admission slot is returned, the caller hears why
-            if settled is not None:
-                if settled[0]:
-                    return
-                settled[0] = True
-                self.router.record_outcome(
-                    database_id, False, clock._now_us
-                )
-            self.admission.release(database_id, memory_bytes)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "requests_failed",
-                    database_id=database_id,
-                    operation=operation,
-                ).inc()
-            if self.slo:
-                self.slo.record("request", self.kernel.now_us, False)
-            if root is not None:
-                root.set_attribute("failed", reason)
-                root.end()
-            if on_reject is not None:
-                on_reject(reason)
-
-        def fail_rpc(rpc: Rpc, reason: str) -> None:
-            fail(reason)
-
+        request = _Request(
+            self,
+            database_id,
+            kind,
+            on_complete,
+            on_reject,
+            cost,
+            latency_sensitive,
+            memory_bytes,
+            client_region,
+            deadline_us,
+            arrival,
+            storage_us,
+            network_us,
+            root,
+            trace_ctx,
+            overload,
+            hedge_primary,
+        )
         if plan is not None and plan.decide("rpc.drop") is not None:
             # the request vanishes on the wire after admission
-            fail("rpc dropped (injected)")
+            request.fail("rpc dropped (injected)")
             return False
-
-        # resolve the billing operation once per request instead of
-        # re-branching on kind in every completion
-        if kind in _READ_KINDS:
-            bill_op = self.billing.record_reads
-        elif kind is RpcKind.COMMIT:
-            bill_op = self.billing.record_writes
-        else:
-            bill_op = None
-
-        def settle_success(total_us: int, net_us: int, store_us: int) -> None:
-            self.admission.release(database_id, memory_bytes)
-            self.completed += 1
-            if bill_op is not None:
-                bill_op(database_id)
-            now = clock._now_us
-            if self._profiler_on:
-                # wire and storage time are busy time spent elsewhere on
-                # this request's behalf — attributed so the flame adds up
-                self.profiler.account(
-                    "network", f"wire.{operation}", net_us, database_id
-                )
-                if store_us:
-                    self.profiler.account(
-                        "spanner", f"storage.{operation}", store_us, database_id
-                    )
-            if self.slo:
-                self.slo.record("request", now, True)
-                self.slo.record_latency("request.latency", now, total_us)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "requests_completed",
-                    database_id=database_id,
-                    operation=operation,
-                ).inc()
-                self.metrics.histogram(
-                    "request_latency_us",
-                    database_id=database_id,
-                    operation=operation,
-                ).observe(total_us)
-            if root is not None:
-                root.set_attributes(
-                    {
-                        "latency_us": total_us,
-                        "network_us": net_us,
-                        "storage_us": store_us,
-                    }
-                )
-                if net_us:
-                    # network hops are priced arithmetically, never elapsed
-                    # on the kernel — a *modeled* wait, added on top of the
-                    # elapsed critical path by repro.obs.critpath
-                    root.wait("rpc_network", duration_us=net_us)
-                root.end()
-            on_complete(total_us)
-
-        def backend_done(rpc: Rpc, latency_us: int) -> None:
-            total_us = network_us + frontend_cost + latency_us
-            if settled is not None:
-                if settled[0]:
-                    # a hedge already answered: this is the losing arm
-                    overload.account_hedge("waste", database_id)
-                    return
-                settled[0] = True
-                self.router.record_outcome(database_id, True, clock._now_us)
-                if kind in _READ_KINDS:
-                    overload.read_latency.observe(total_us)
-                    overload.hedges.on_read()
-            settle_success(total_us, network_us, storage_us)
-
-        hedging = (
-            settled is not None
-            and overload.config.hedge_enabled
-            and kind in (RpcKind.GET, RpcKind.QUERY)
-        )
-        if hedging:
-            hedge_net = [0]
-            hedge_sched = [0]
-
-            def hedge_done(rpc: Rpc, latency_us: int) -> None:
-                if settled[0]:
-                    overload.account_hedge("waste", database_id)
-                    return
-                settled[0] = True
-                overload.account_hedge("win", database_id)
-                self.router.record_outcome(database_id, True, clock._now_us)
-                total_us = (rpc.arrival_us - arrival) + latency_us + hedge_net[0]
-                overload.read_latency.observe(total_us)
-                overload.hedges.on_read()
-                settle_success(total_us, hedge_net[0], rpc.storage_latency_us)
-
-            def hedge_rejected(rpc: Rpc, reason: str) -> None:
-                # a failed hedge never fails the request — the primary is
-                # still in flight (or already settled it)
-                overload.account_hedge("waste", database_id)
-
-            def fire_hedge() -> None:
-                if settled[0]:
-                    return
-                now = clock._now_us
-                if deadline_us is not None and now >= deadline_us:
-                    return
-                reader = (
-                    client_region
-                    if client_region is not None
-                    else self.router.home_region(database_id)
-                )
-                region, _ts = self.router.route_read(
-                    database_id,
-                    reader,
-                    overload.config.hedge_staleness_bound_us,
-                )
-                primary = (
-                    hedge_primary
-                    if hedge_primary is not None
-                    else self.router.home_region(database_id)
-                )
-                if region == primary:
-                    # no distinct eligible follower: nothing to hedge to
-                    return
-                if not overload.hedges.try_spend():
-                    return
-                overload.account_hedge("fired", database_id)
-                if self._tracer_on:
-                    # from hedge arming to firing, the request was waiting
-                    # on the primary — blame the hedge delay explicitly
-                    overload.record_hedge_wait(
-                        self.tracer, trace_ctx, hedge_sched[0], now
-                    )
-                hedge_net[0] = 2 * self.router.pair_latency_us(reader, region)
-                hedge_rpc = Rpc(
-                    database_id=database_id,
-                    kind=kind,
-                    cpu_cost_us=cost,
-                    arrival_us=now,
-                    storage_latency_us=self.latency.local_read_us(self.rand),
-                    latency_sensitive=latency_sensitive,
-                    deadline_us=deadline_us,
-                    on_complete=hedge_done,
-                    on_reject=hedge_rejected,
-                    trace_ctx=trace_ctx,
-                )
-                pool = self._isolated_pools.get(
-                    database_id, self.backend_pool
-                )
-                pool.scheduler.enqueue(hedge_rpc)
-                pool._dispatch()
-
-        def frontend_done(rpc: Rpc, frontend_latency_us: int) -> None:
-            if deadline_us is not None and clock._now_us >= deadline_us:
-                fail("deadline exceeded after frontend hop")
-                return
-            backend_rpc = Rpc(
-                database_id=database_id,
-                kind=kind,
-                cpu_cost_us=cost,
-                arrival_us=clock._now_us,
-                storage_latency_us=storage_us,
-                latency_sensitive=latency_sensitive,
-                deadline_us=deadline_us,
-                on_complete=backend_done,
-                on_reject=fail_rpc,
-                trace_ctx=trace_ctx,
-            )
-            pool = self._isolated_pools.get(database_id, self.backend_pool)
-            # inlined pool.submit: one fewer frame on the per-request path
-            pool.scheduler.enqueue(backend_rpc)
-            pool._dispatch()
-            if hedging and self.router.has_replicas(database_id):
-                # the backup read fires if the primary has not answered
-                # within its p99 budget; first terminal outcome wins
-                hedge_sched[0] = clock._now_us
-                self.kernel.after(
-                    overload.hedge_after_us(), fire_hedge, label="hedge-read"
-                )
-
-        frontend_cost = 50  # routing + session bookkeeping
         frontend_rpc = Rpc(
             database_id=database_id,
             kind=kind,
-            cpu_cost_us=frontend_cost,
+            cpu_cost_us=_FRONTEND_COST_US,
             arrival_us=arrival,
             latency_sensitive=latency_sensitive,
             deadline_us=deadline_us,
-            on_complete=frontend_done,
-            on_reject=fail_rpc,
+            on_complete=request.frontend_done,
+            on_reject=request.fail_rpc,
             trace_ctx=trace_ctx,
         )
         if plan is not None:
@@ -574,7 +656,7 @@ class ServingCluster:
                     Rpc(
                         database_id=database_id,
                         kind=kind,
-                        cpu_cost_us=frontend_cost,
+                        cpu_cost_us=_FRONTEND_COST_US,
                         arrival_us=arrival,
                         latency_sensitive=latency_sensitive,
                         deadline_us=deadline_us,
@@ -589,18 +671,15 @@ class ServingCluster:
                 delay_us = plan.rand("rpc.reorder").randint(30_000, 120_000)
             if delay_us:
                 # the extra wire time is part of the latency the caller
-                # observes (backend_done reads network_us at call time)
-                network_us += delay_us
+                # observes (backend_done reads network_us when it runs)
+                request.network_us += delay_us
                 self.kernel.after(
                     delay_us,
                     lambda: self.frontend_pool.submit(frontend_rpc),
                     label="rpc-delay",
                 )
                 return True
-        # inlined pool.submit: one fewer frame on the per-request path
-        frontend_pool = self.frontend_pool
-        frontend_pool.scheduler.enqueue(frontend_rpc)
-        frontend_pool._dispatch()
+        self.frontend_pool.submit(frontend_rpc)
         return True
 
     def submit_notification_fanout(
@@ -724,12 +803,6 @@ class ServingCluster:
         if kind in (RpcKind.GET, RpcKind.QUERY, RpcKind.LISTEN):
             return self.latency.read_us(self.rand)
         return 0
-
-    def _bill(self, database_id: str, kind: RpcKind) -> None:
-        if kind in (RpcKind.GET, RpcKind.QUERY, RpcKind.LISTEN):
-            self.billing.record_reads(database_id)
-        elif kind is RpcKind.COMMIT:
-            self.billing.record_writes(database_id)
 
     # -- driving -----------------------------------------------------------------------
 

@@ -21,15 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import NotFound
-from repro.sim.latency import (
-    INTER_REGION_ONE_WAY_US,
-    pair_one_way_us,
-    region_matrix,
-)
-
-#: one-way network latency between region pairs, microseconds — an alias
-#: of the shared matrix (kept for compatibility with older callers)
-DEFAULT_INTER_REGION_US = INTER_REGION_ONE_WAY_US
+from repro.sim.latency import pair_one_way_us, region_matrix
 
 
 @dataclass

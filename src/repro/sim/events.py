@@ -15,18 +15,22 @@ tenants a run can drive. The dispatch loop is therefore written for
 speed, and ``perflint`` (:mod:`repro.analysis.engine`) holds it to that:
 heap entries are plain ``(time_us, priority, seq, event)`` tuples so
 heap sift comparisons stay in C, :class:`Event` is an allocation-lean
-``__slots__`` record, and the loop binds its hot attribute chains (heap,
-clock, profiler) to locals once per run instead of re-resolving them per
+``__slots__`` record, and the one dispatch loop (:meth:`EventKernel._run`,
+which every public entry point calls) binds its hot attribute chains
+(heap, clock) to locals once per run instead of re-resolving them per
 event.
 """
 
 from __future__ import annotations
 
-import time
 from heapq import heappop, heappush
 from typing import Callable, Optional, Protocol
 
 from repro.sim.clock import SimClock
+
+#: "no bound" for :meth:`EventKernel._run`'s time and count limits: an int
+#: past any sim time or event count, so the loop compares ints only
+_UNBOUNDED = 1 << 62
 
 
 class Event:
@@ -83,7 +87,7 @@ class EventKernel:
     so two entries never compare equal deep enough to reach the event.
     """
 
-    __slots__ = ("clock", "perturber", "profiler", "_heap", "_seq", "_executed")
+    __slots__ = ("clock", "perturber", "_heap", "_seq", "_executed")
 
     def __init__(
         self,
@@ -94,31 +98,10 @@ class EventKernel:
         #: optional schedule-exploration hook; None means the natural
         #: (requested-time, insertion) order
         self.perturber = perturber
-        #: optional :class:`repro.obs.perf.Profiler`; when set, the kernel
-        #: feeds it wall-clock self-time per event label. Wall time is the
-        #: only non-deterministic signal the profiler carries, and it is
-        #: measured here — inside ``sim/`` — so nothing outside the
-        #: simulation layer ever reads a real clock. Install the hook
-        #: before running: the dispatch loop reads it once per run.
-        self.profiler = None
         # entry payload is an Event (at/after) or a bare callback (post)
         self._heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
         self._executed = 0
-
-    def _execute(self, item) -> None:
-        """Run one heap payload (an :class:`Event` or a bare callback)."""
-        if item.__class__ is Event:
-            label = item.label or "event"
-            item = item.callback
-        else:
-            label = "event"
-        if self.profiler is not None:
-            start_ns = time.perf_counter_ns()
-            item()
-            self.profiler.record_wall(label, time.perf_counter_ns() - start_ns)
-        else:
-            item()
 
     @property
     def now_us(self) -> int:
@@ -189,51 +172,40 @@ class EventKernel:
         self._seq = seq + 1
         heappush(self._heap, (time_us, 0, seq, callback))
 
+    def _run(self, until_us: int, max_events: int) -> int:
+        """The dispatch loop: run at most ``max_events`` events due by
+        ``until_us``, in (time, priority, seq) order; returns how many ran.
+
+        Cancelled events are popped and dropped without counting.
+        """
+        heap = self._heap
+        clock = self.clock
+        executed = 0
+        while heap and heap[0][0] <= until_us and executed < max_events:
+            etime, _priority, _seq, item = heappop(heap)
+            # a heap entry carries either an Event or, for the
+            # fire-and-forget post() path, the bare callback
+            if item.__class__ is Event:
+                if item.cancelled:
+                    continue
+                item = item.callback
+            # inlined clock.advance_to: one slot store beats a
+            # method call at 200k+ events per run
+            if etime > clock._now_us:
+                clock._now_us = etime
+            item()
+            executed += 1
+        self._executed += executed
+        return executed
+
     def run_until(self, time_us: int) -> int:
         """Execute events with time <= ``time_us``; returns events executed.
 
         The clock ends at exactly ``time_us`` even if the last event fired
         earlier, so wall-clock-driven components observe consistent time.
         """
-        heap = self._heap
-        clock = self.clock
-        profiler = self.profiler
-        executed = 0
-        if profiler is None:
-            while heap and heap[0][0] <= time_us:
-                etime, _priority, _seq, item = heappop(heap)
-                # a heap entry carries either an Event or, for the
-                # fire-and-forget post() path, the bare callback
-                if item.__class__ is Event:
-                    if item.cancelled:
-                        continue
-                    item = item.callback
-                # inlined clock.advance_to: one slot store beats a
-                # method call at 200k+ events per run
-                if etime > clock._now_us:
-                    clock._now_us = etime
-                item()
-                executed += 1
-        else:
-            perf_counter_ns = time.perf_counter_ns
-            record_wall = profiler.record_wall
-            while heap and heap[0][0] <= time_us:
-                etime, _priority, _seq, item = heappop(heap)
-                if item.__class__ is Event:
-                    if item.cancelled:
-                        continue
-                    label = item.label or "event"
-                    item = item.callback
-                else:
-                    label = "event"
-                if etime > clock._now_us:
-                    clock._now_us = etime
-                start_ns = perf_counter_ns()
-                item()
-                record_wall(label, perf_counter_ns() - start_ns)
-                executed += 1
-        self._executed += executed
-        clock.advance_to(time_us)
+        executed = self._run(time_us, _UNBOUNDED)
+        self.clock.advance_to(time_us)
         return executed
 
     def run_for(self, delta_us: int) -> int:
@@ -242,20 +214,7 @@ class EventKernel:
 
     def drain(self, max_events: int = 10_000_000) -> int:
         """Run until no events remain. Guards against runaway loops."""
-        heap = self._heap
-        advance_to = self.clock.advance_to
-        executed = 0
-        while heap:
-            entry = heappop(heap)
-            item = entry[3]
-            if item.__class__ is Event and item.cancelled:
-                continue
-            advance_to(entry[0])
-            self._execute(item)
-            executed += 1
-            if executed > max_events:
-                break
-        self._executed += executed
+        executed = self._run(_UNBOUNDED, max_events + 1)
         if executed > max_events:
             raise RuntimeError(
                 f"drain() executed more than {max_events} events; "
@@ -265,14 +224,4 @@ class EventKernel:
 
     def step(self) -> bool:
         """Execute the single next event. Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            item = entry[3]
-            if item.__class__ is Event and item.cancelled:
-                continue
-            self.clock.advance_to(entry[0])
-            self._execute(item)
-            self._executed += 1
-            return True
-        return False
+        return self._run(_UNBOUNDED, 1) == 1

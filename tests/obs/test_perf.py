@@ -77,14 +77,9 @@ def test_top_self_ordering_is_stable():
 def test_wall_clock_kept_out_of_deterministic_snapshot():
     profiler = Profiler()
     profiler.account("service", "op", 10)
-    profiler.record_wall("kernel.step", 5_000)
-    profiler.record_wall("kernel.step", 7_000)
     snapshot = profiler.to_dict()
     assert set(snapshot) == {"total_us", "by_subsystem", "by_tenant", "entries"}
     assert "wall" not in repr(snapshot)
-    assert profiler.wall_report() == {
-        "kernel.step": {"wall_ns": 12_000, "events": 2}
-    }
 
 
 def test_per_tenant_metrics_surface_only_attributed_work():

@@ -8,11 +8,10 @@ count (186 -> 4,176 for the linear scans at these two sizes; 82 at
 both with the heaps).
 """
 
-import sys
-
 from repro.service.pool import TaskPool
 from repro.service.rpc import Rpc, RpcKind
 from repro.sim.events import EventKernel
+from tests._counting import lines_per_op
 
 _COUNTED = ("service/pool.py", "service/scheduler.py")
 
@@ -25,32 +24,19 @@ def lines_per_rpc(tasks: int, tenants: int) -> float:
         pool.submit(Rpc(f"idle-{tenant}", RpcKind.GET, 100, kernel.now_us))
     kernel.drain()
 
-    lines = 0
-
-    def count_line(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
-        return count_line
-
-    def on_call(frame, event, arg):
-        if frame.f_code.co_filename.endswith(_COUNTED):
-            return count_line
-        return None
-
     rpcs = 8 * tasks
-    previous = sys.gettrace()
-    sys.settrace(on_call)
-    try:
+
+    def dispatch() -> int:
         # the first ``tasks`` submits saturate the pool; the rest queue
         # and are dispatched from completions
         for _ in range(rpcs):
             pool.submit(Rpc("hot", RpcKind.GET, 100, kernel.now_us))
         kernel.drain()
-    finally:
-        sys.settrace(previous)
+        return rpcs
+
+    per_rpc = lines_per_op(_COUNTED, dispatch)
     assert pool.completed == tenants + rpcs
-    return lines / rpcs
+    return per_rpc
 
 
 def test_lines_per_dispatched_rpc_do_not_grow_with_tasks_or_tenants():
