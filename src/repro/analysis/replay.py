@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import SanitizerViolation
-from repro.obs.export import chrome_trace_json
+from repro.obs.export import chrome_trace_json, history_jsonl
 
 
 def _sha256(text: str) -> str:
@@ -93,14 +93,8 @@ def _normalize(result: Any) -> dict:
 def _history_jsonl(history: Any) -> str:
     """Canonical JSONL for a repro.check history (or list of them)."""
     if history and isinstance(history[0], dict):
-        histories = [history]
-    else:
-        histories = list(history)
-    return "".join(
-        json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-        for events in histories
-        for event in events
-    )
+        history = [history]
+    return history_jsonl(history)
 
 
 def fingerprint(result: Any) -> ReplayRun:

@@ -19,9 +19,9 @@ executions, Elle-style, instead of trusting the implementation:
   reads, index/document atomicity, and notification order/completeness.
 - :mod:`repro.check.explorer` — a **schedule explorer** that reruns a
   scenario across seed sweeps and biased event-queue perturbations
-  (``repro.sim.events`` priorities + the one-shot
-  ``commit_fault_injector``), shrinking any violating run to a minimal
-  ``(seed, perturbation, ops)`` reproducer.
+  (``repro.sim.events`` priorities + seeded unknown-outcome commits),
+  shrinking any violating run to a minimal ``(seed, perturbation, ops)``
+  reproducer.
 - :mod:`repro.check.anomalies` — deliberately broken toy stores (lost
   update, write skew, stale notification, non-monotonic commit
   timestamps) proving the checker can actually fail.

@@ -24,6 +24,7 @@ from repro.check.checker import Violation, check_history
 from repro.check.explorer import MODES, explore
 from repro.check.history import HistoryRecorder
 from repro.check.scenarios import SCENARIOS, run_scenario
+from repro.obs.export import history_jsonl
 
 
 def _print_violations(violations: list[Violation]) -> None:
@@ -34,6 +35,11 @@ def _print_violations(violations: list[Violation]) -> None:
         if violation.spans:
             line += f"  (spans {[hex(span) for span in violation.spans]})"
         print(line)
+
+
+def _write_log(path: str, histories: list[list[dict]]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(history_jsonl(histories))
 
 
 def _cmd_check_log(path: str) -> int:
@@ -56,17 +62,7 @@ def _cmd_run(args) -> int:
     )
     _print_violations(result.violations)
     if args.log_out:
-        import json
-
-        with open(args.log_out, "w", encoding="utf-8") as handle:
-            for history in result.histories:
-                for event in history:
-                    handle.write(
-                        json.dumps(
-                            event, sort_keys=True, separators=(",", ":")
-                        )
-                        + "\n"
-                    )
+        _write_log(args.log_out, result.histories)
         print(f"history log written to {args.log_out}")
     return 1 if result.violations else 0
 
@@ -93,17 +89,7 @@ def _cmd_explore(args) -> int:
     if report.reproducers and args.log_out:
         first = report.reproducers[0]
         rerun = run_scenario(first.scenario, first.seed, first.mode, first.ops)
-        import json
-
-        with open(args.log_out, "w", encoding="utf-8") as handle:
-            for history in rerun.histories:
-                for event in history:
-                    handle.write(
-                        json.dumps(
-                            event, sort_keys=True, separators=(",", ":")
-                        )
-                        + "\n"
-                    )
+        _write_log(args.log_out, rerun.histories)
         print(f"first reproducer's history written to {args.log_out}")
     return 1 if report.found_violation else 0
 

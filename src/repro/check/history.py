@@ -333,14 +333,6 @@ class HistoryRecorder:
 
     # -- serialization -----------------------------------------------------
 
-    def to_jsonl(self) -> str:
-        """The compact, line-per-event log (byte-identical across same-
-        seed runs — the replay harness asserts this)."""
-        return "\n".join(
-            json.dumps(event, sort_keys=True, separators=(",", ":"))
-            for event in self.events
-        )
-
     @staticmethod
     def parse_jsonl(text: str) -> list[dict]:
         """Parse a history log back into its event list."""

@@ -25,6 +25,7 @@ import sys
 
 from repro.faults.chaos import CHAOS_SCENARIOS, ChaosRun, replay_digest, sweep
 from repro.faults.plan import FAULT_MIXES
+from repro.obs.export import history_jsonl
 
 
 def _default_out() -> str:
@@ -53,12 +54,7 @@ def _write_artifacts(directory: str, failed: list[ChaosRun]) -> None:
             )
         history_path = os.path.join(directory, f"{stem}.history.jsonl")
         with open(history_path, "w", encoding="utf-8") as handle:
-            for history in run.histories:
-                for event in history:
-                    handle.write(
-                        json.dumps(event, sort_keys=True, separators=(",", ":"))
-                        + "\n"
-                    )
+            handle.write(history_jsonl(run.histories))
 
 
 def main(argv=None) -> int:

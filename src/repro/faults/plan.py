@@ -156,7 +156,7 @@ class FaultPlan:
 
     1. **Armed faults** — explicit one-shot faults queued with
        :meth:`arm`, fired FIFO per site. This is the deterministic-test
-       mode (and what the old ``commit_fault_injector`` compiles to).
+       mode.
     2. **Rates** — per-site Bernoulli probabilities (``rates`` maps site
        -> p), each drawn from that site's own forked stream. This is the
        chaos-sweep mode.

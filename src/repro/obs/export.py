@@ -13,13 +13,14 @@ Two formats:
   benchmark drops next to its numbers.
 
 Both exports are byte-stable for a fixed seed: ordering is derived from
-span finish order and sorted metric keys only.
+span finish order and sorted metric keys only. :func:`history_jsonl` is
+the one canonical form of a recorded ``repro.check`` history.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, TextIO, Union
+from typing import Iterable, Optional, TextIO, Union
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.stats import percentile
@@ -95,6 +96,16 @@ def chrome_trace_json(tracer: TracerLike) -> str:
     """The Chrome trace export serialized to a canonical JSON string."""
     return json.dumps(
         to_chrome_trace(tracer), sort_keys=True, separators=(",", ":")
+    )
+
+
+def history_jsonl(histories: Iterable[Iterable[dict]]) -> str:
+    """Recorded histories as JSONL: one compact, key-sorted JSON line per
+    event, each newline-terminated, histories back to back."""
+    return "".join(
+        json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+        for events in histories
+        for event in events
     )
 
 

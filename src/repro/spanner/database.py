@@ -17,7 +17,7 @@ multiple tablets and commits with two-phase commit, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.errors import InternalError
 from repro.sim.clock import SimClock
@@ -66,11 +66,6 @@ class SpannerDatabase:
         self.message_queue = TransactionalMessageQueue(clock=self.clock)
         self._next_txn_id = 1
         self._directories: set[bytes] = set()
-        # test hook: called before applying a commit; may raise to inject
-        # failures (unknown outcomes, definitive aborts). One-shot: the
-        # injector is cleared before it fires, so a stale injector cannot
-        # leak into subsequent commits.
-        self.commit_fault_injector: Optional[Callable[[int], None]] = None
         # deterministic fault plane (repro.faults.FaultPlan): duck-typed
         # like sanitizer/recorder so this layer needs no import — None
         # means every injection hook is inert

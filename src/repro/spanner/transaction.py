@@ -16,9 +16,7 @@ Mirrors the Spanner behaviour Firestore builds on (paper section IV-D1/2):
 Fault injection: the database's ``fault_plan`` (a ``repro.faults``
 FaultPlan, duck-typed) drives the failure matrix — definitive commit
 failure, unknown-outcome commits, lock-acquisition timeouts, unreachable
-or slow tablets, and splits racing the commit. The older one-shot
-``commit_fault_injector`` hook remains as a thin compat shim feeding the
-same code path.
+or slow tablets, and splits racing the commit.
 """
 
 from __future__ import annotations
@@ -62,20 +60,6 @@ def _lock_abort(exc: LockConflict) -> Aborted:
     error = Aborted(str(exc))
     error.wait_cause = "lock_wait"
     return error
-
-
-class _DefinitiveCommitFailure(Exception):
-    """Raised by fault injectors to force a known-failed commit."""
-
-
-class _UnknownOutcomeFailure(Exception):
-    """Raised by fault injectors to force an unknown-outcome commit.
-
-    ``applied`` says whether the injector wants the mutations applied
-    anyway (commit actually succeeded but the ack was lost)."""
-
-    def __init__(self, applied: bool):
-        self.applied = applied
 
 
 class ReadWriteTransaction:
@@ -453,51 +437,30 @@ class ReadWriteTransaction:
     def _inject_commit_faults(
         self, min_commit_ts: int, max_commit_ts: Optional[int]
     ) -> None:
-        """Fire any injected commit fault, from either source.
+        """Fire the fault plan's commit fault, if one is due.
 
-        The legacy one-shot ``commit_fault_injector`` is consulted first
-        (and stays a supported compat shim); otherwise the database's
-        fault plan decides. Raises :class:`Aborted` for definitive
-        failures and :class:`CommitOutcomeUnknown` for lost
-        acknowledgements; returns normally when no fault fires.
+        Raises :class:`Aborted` for definitive failures and
+        :class:`CommitOutcomeUnknown` for lost acknowledgements; returns
+        normally when no fault fires.
         """
         db = self._db
-        cause: Optional[BaseException] = None
-        outcome: Optional[tuple[str, bool]] = None
-        injector = db.commit_fault_injector
-        if injector is not None:
-            # one-shot: clear before firing so a failure path cannot leave
-            # the injector armed for an unrelated later commit
-            db.commit_fault_injector = None
-            try:
-                injector(self.txn_id)
-            except _DefinitiveCommitFailure as exc:
-                outcome, cause = ("fail", False), exc
-            except _UnknownOutcomeFailure as exc:
-                outcome, cause = ("unknown", exc.applied), exc
         plan = db.fault_plan
-        if outcome is None and plan is not None:
-            if plan.decide("spanner.split_during_commit") is not None:
-                # a topology change mid-commit: the 2PC must tolerate the
-                # tablet holding its writes splitting under it
-                self._split_written_tablet()
-            if plan.decide("spanner.commit_fail") is not None:
-                outcome = ("fail", False)
-            else:
-                detail = plan.decide("spanner.commit_unknown")
-                if detail is not None:
-                    applied = detail.get("applied")
-                    if applied is None:
-                        applied = plan.rand("spanner.commit_unknown").bernoulli(
-                            0.5
-                        )
-                    outcome = ("unknown", bool(applied))
-        if outcome is None:
+        if plan is None:
             return
-        kind, applied = outcome
-        if kind == "fail":
+        if plan.decide("spanner.split_during_commit") is not None:
+            # a topology change mid-commit: the 2PC must tolerate the
+            # tablet holding its writes splitting under it
+            self._split_written_tablet()
+        if plan.decide("spanner.commit_fail") is not None:
             self._abort()
-            raise Aborted("commit failed definitively (injected)") from cause
+            raise Aborted("commit failed definitively (injected)")
+        detail = plan.decide("spanner.commit_unknown")
+        if detail is None:
+            return
+        applied = detail.get("applied")
+        if applied is None:
+            applied = plan.rand("spanner.commit_unknown").bernoulli(0.5)
+        applied = bool(applied)
         # "unknown" is a *client-side* state: the server either committed
         # or aborted, and in both cases it releases the transaction's
         # locks — only the acknowledgement was lost
@@ -513,9 +476,7 @@ class ReadWriteTransaction:
         recorder = db.recorder
         if recorder is not None:
             recorder.txn_unknown(self.txn_id, applied)
-        raise CommitOutcomeUnknown(
-            "commit outcome unknown (injected)"
-        ) from cause
+        raise CommitOutcomeUnknown("commit outcome unknown (injected)")
 
     def _split_written_tablet(self) -> None:
         """Split the tablet holding the first buffered write at that key."""
@@ -574,13 +535,3 @@ class ReadWriteTransaction:
                 tt.latest,
             )
         return commit_ts
-
-
-def inject_definitive_failure() -> None:
-    """Helper for tests: raise inside a commit_fault_injector."""
-    raise _DefinitiveCommitFailure()
-
-
-def inject_unknown_outcome(applied: bool) -> None:
-    """Helper for tests: raise inside a commit_fault_injector."""
-    raise _UnknownOutcomeFailure(applied)

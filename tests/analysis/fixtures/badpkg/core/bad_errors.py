@@ -1,6 +1,6 @@
 """Bad fixture: exception-boundary violations plus a bare except."""
 
-from repro.spanner.transaction import inject_definitive_failure
+from repro.spanner.transaction import _CommitFailure
 
 
 class HomegrownError(Exception):
@@ -12,7 +12,7 @@ def fail():
 
 
 def cross_boundary():
-    raise inject_definitive_failure
+    raise _CommitFailure()
 
 
 def swallow():

@@ -4,8 +4,13 @@
 was renamed away entirely — both must be history-tap diagnostics. The
 other required methods keep their taps and must NOT be flagged.
 ``commit`` exists but lost its profiler tag — a perf-attribution
-diagnostic.
+diagnostic. ``_CommitFailure`` is spanner-private: raising it from
+another subsystem is an error-boundary diagnostic (see core/bad_errors).
 """
+
+
+class _CommitFailure(Exception):
+    pass
 
 
 class ReadWriteTransaction:

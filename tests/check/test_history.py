@@ -14,6 +14,7 @@ from repro.check.history import (
     set_enabled,
 )
 from repro.check.scenarios import run_scenario
+from repro.obs.export import history_jsonl
 
 
 def make_db(name="db"):
@@ -54,8 +55,9 @@ def test_event_encoding_roundtrip():
     assert commit["writes"] == [["01", "w"], ["02", "d"]]
     assert (commit["min"], commit["max"]) == (0, 99)
     assert (commit["tt_e"], commit["tt_l"]) == (8, 12)
-    parsed = HistoryRecorder.parse_jsonl(recorder.to_jsonl())
-    assert parsed == recorder.events
+    log = history_jsonl([recorder.events])
+    assert log.count("\n") == len(recorder.events) and log.endswith("\n")
+    assert HistoryRecorder.parse_jsonl(log) == recorder.events
 
 
 def test_clock_and_span_stamping():
@@ -109,13 +111,7 @@ def test_recording_context_collects_and_restores(monkeypatch):
 
 def test_same_seed_history_logs_are_byte_identical():
     def jsonl(run):
-        import json
-
-        return "".join(
-            json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
-            for history in run.histories
-            for e in history
-        )
+        return history_jsonl(run.histories)
 
     first = run_scenario("commit", seed=5)
     second = run_scenario("commit", seed=5)

@@ -23,11 +23,8 @@ from repro.core.backend import (
 )
 from repro.core.firestore import FirestoreService
 from repro.core.values import SERVER_TIMESTAMP, Timestamp
+from repro.faults.plan import FaultPlan
 from repro.realtime.protocol import WriteOutcome
-from repro.spanner.transaction import (
-    inject_definitive_failure,
-    inject_unknown_outcome,
-)
 
 
 @pytest.fixture
@@ -187,12 +184,10 @@ class TestRealtime2PC:
             original(database_id, handle, outcome, commit_ts, changes)
 
         db.realtime.accept = spy
-        db.layout.spanner.commit_fault_injector = (
-            lambda txn_id: inject_definitive_failure()
-        )
+        db.layout.spanner.fault_plan = plan = FaultPlan(seed=0)
+        plan.arm("spanner.commit_fail")
         with pytest.raises(Aborted):
             db.commit([set_op("r/a", {"x": 1})])
-        db.layout.spanner.commit_fault_injector = None
         assert accepts == [WriteOutcome.FAILED]
         assert not db.lookup("r/a").exists
 
@@ -206,12 +201,10 @@ class TestRealtime2PC:
             original(database_id, handle, outcome, commit_ts, changes)
 
         db.realtime.accept = spy
-        db.layout.spanner.commit_fault_injector = (
-            lambda txn_id: inject_unknown_outcome(applied)
-        )
+        db.layout.spanner.fault_plan = plan = FaultPlan(seed=0)
+        plan.arm("spanner.commit_unknown", applied=applied)
         with pytest.raises(DeadlineExceeded):
             db.commit([set_op("r/a", {"x": 1})])
-        db.layout.spanner.commit_fault_injector = None
         assert accepts == [WriteOutcome.UNKNOWN]
         assert db.lookup("r/a").exists is applied
 

@@ -6,7 +6,7 @@ import pytest
 from repro.core.backend import delete_op, set_op, update_op
 from repro.core.firestore import FirestoreService
 from repro.errors import DeadlineExceeded
-from repro.spanner.transaction import inject_unknown_outcome
+from repro.faults.plan import FaultPlan
 
 
 @pytest.fixture
@@ -171,12 +171,10 @@ class TestFailureRecovery:
         db.commit([set_op("scores/g1", {"pts": 1})])
         snaps = []
         db.connect().listen(db.query("scores"), snaps.append)
-        db.layout.spanner.commit_fault_injector = (
-            lambda txn_id: inject_unknown_outcome(applied=True)
-        )
+        db.layout.spanner.fault_plan = plan = FaultPlan(seed=0)
+        plan.arm("spanner.commit_unknown", applied=True)
         with pytest.raises(DeadlineExceeded):
             db.commit([set_op("scores/g2", {"pts": 2})])
-        db.layout.spanner.commit_fault_injector = None
         pump(db, times=2)
         # the reset re-queried and delivered the committed-but-unacked doc
         assert db.frontend.resets >= 1

@@ -2,11 +2,8 @@ import pytest
 
 from repro.errors import Aborted, CommitOutcomeUnknown, InternalError
 from repro.sim.clock import SimClock
+from repro.faults.plan import FaultPlan
 from repro.spanner.database import SpannerDatabase
-from repro.spanner.transaction import (
-    inject_definitive_failure,
-    inject_unknown_outcome,
-)
 
 
 @pytest.fixture
@@ -156,24 +153,29 @@ def test_none_values_rejected(db):
         txn.put("Entities", b"k", None)
 
 
+def armed_plan(db, site, **detail):
+    plan = FaultPlan(seed=0)
+    plan.arm(site, **detail)
+    db.fault_plan = plan
+    return plan
+
+
 def test_injected_definitive_failure(db):
-    db.commit_fault_injector = lambda txn_id: inject_definitive_failure()
+    armed_plan(db, "spanner.commit_fail")
     txn = db.begin()
     txn.put("Entities", b"k", "v")
     with pytest.raises(Aborted):
         txn.commit()
-    db.commit_fault_injector = None
     assert db.snapshot_read("Entities", b"k", 10_000_000_000) is None
 
 
 @pytest.mark.parametrize("applied", [True, False])
 def test_injected_unknown_outcome(db, applied):
-    db.commit_fault_injector = lambda txn_id: inject_unknown_outcome(applied)
+    armed_plan(db, "spanner.commit_unknown", applied=applied)
     txn = db.begin()
     txn.put("Entities", b"k", "v")
     with pytest.raises(CommitOutcomeUnknown):
         txn.commit()
-    db.commit_fault_injector = None
     visible = db.snapshot_read("Entities", b"k", 10_000_000_000)
     assert (visible == "v") is applied
     assert db.locks.active_lock_count() == 0 or applied
@@ -183,33 +185,27 @@ def test_injected_unknown_outcome(db, applied):
 
 
 def test_fault_injector_is_one_shot(db):
-    fired = []
-
-    def injector(txn_id):
-        fired.append(txn_id)
-        inject_definitive_failure()
-
-    db.commit_fault_injector = injector
+    plan = armed_plan(db, "spanner.commit_fail")
     txn = db.begin()
     txn.put("Entities", b"k", "v")
     with pytest.raises(Aborted):
         txn.commit()
-    # the injector cleared itself before firing — no manual reset needed
-    assert db.commit_fault_injector is None
-    assert len(fired) == 1
+    # the armed fault was consumed by the commit it fired on
+    assert plan.armed("spanner.commit_fail") == 0
+    assert plan.injected == {"spanner.commit_fail": 1}
 
     result = commit_row(db, "Entities", b"k", "v2")
-    assert len(fired) == 1
+    assert plan.injected == {"spanner.commit_fail": 1}
     assert db.snapshot_read("Entities", b"k", result.commit_ts) == "v2"
 
 
 def test_fault_injector_clears_even_for_unknown_outcome(db):
-    db.commit_fault_injector = lambda txn_id: inject_unknown_outcome(True)
+    plan = armed_plan(db, "spanner.commit_unknown", applied=True)
     txn = db.begin()
     txn.put("Entities", b"k", "v")
     with pytest.raises(CommitOutcomeUnknown):
         txn.commit()
-    assert db.commit_fault_injector is None
+    assert plan.armed("spanner.commit_unknown") == 0
     # a retry of the same logical write goes through untouched
     result = commit_row(db, "Entities", b"k", "v-retry")
     assert db.snapshot_read("Entities", b"k", result.commit_ts) == "v-retry"

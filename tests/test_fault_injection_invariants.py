@@ -25,7 +25,6 @@ from repro.errors import (
     VerificationError,
 )
 from repro.faults.plan import FaultPlan
-from repro.spanner.transaction import inject_definitive_failure
 
 OPS = st.lists(
     st.tuples(
@@ -136,20 +135,6 @@ def test_property_histories_check_clean_under_faults(ops):
     assert any(recorder.events for recorder in recorders)
     for recorder in recorders:
         assert_clean(check_history(recorder.events), context="fault run")
-
-
-def test_legacy_commit_fault_injector_shim_still_works():
-    """The pre-fault-plane one-shot hook remains a supported compat shim:
-    it fires once, clears itself, and leaves later commits untouched."""
-    service = FirestoreService()
-    db = service.create_database("legacy-shim")
-    spanner = db.layout.spanner
-    spanner.commit_fault_injector = lambda txn_id: inject_definitive_failure()
-    with pytest.raises((Aborted, DeadlineExceeded)):
-        db.commit([set_op("docs/a", {"n": 1})])
-    assert spanner.commit_fault_injector is None
-    db.commit([set_op("docs/a", {"n": 2})])
-    assert db.lookup("docs/a").data == {"n": 2}
 
 
 def test_guardrail_violations_share_one_exception_family():
