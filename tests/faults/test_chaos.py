@@ -41,6 +41,10 @@ def test_ycsb_chaos_accounts_drops_and_crashes():
     run = run_chaos("ycsb", seed=0, mix="chaos")
     assert run.ok, run.violations
     assert run.attempted == run.succeeded + run.failed
+    # every request the runner issued, counted over the whole run:
+    # 248 completed, 0 rejected, 6 failed
+    assert run.attempted == 254
+    assert run.succeeded == 248
     assert 0.0 < run.availability <= 1.0
     assert set(run.extra) >= {
         "read_p99_us",
