@@ -605,7 +605,7 @@ class Backend:
                 check_document_size(write.path, serialized)
                 txn.put(ENTITIES, key, EntityRow(serialized, create_ts))
 
-            change = DocumentChange(write.path, old_data, new_data)
+            change = DocumentChange(write.path, old_data, new_data, create_ts=create_ts)
             changes.append(change)
             self._stage_triggers(txn, change)
         return changes

@@ -98,6 +98,8 @@ class _QueryState:
         self.pending: list[tuple[int, DocumentChange]] = []
         self.range_watermarks: dict[int, int] = {}
         self.needs_reset = False
+        #: the last delivered ``documents``, in query order
+        self.documents: tuple[Document, ...] = ()
 
     def consistent_ts(self) -> int:
         if not self.range_watermarks:
@@ -136,7 +138,7 @@ class RealtimeConnection:
         # run-deterministic identity unique per listener
         state.record_tag = f"{self._conn_id}.{tag}"
         self._states[tag] = state
-        self._frontend._start_query(state, is_initial=True)
+        self._frontend._start_query(state)
         return tag
 
     def unlisten(self, tag: Any) -> None:
@@ -150,7 +152,7 @@ class RealtimeConnection:
         for tag in list(self._states):
             self.unlisten(tag)
         self.closed = True
-        self._frontend._connections.discard(self)
+        self._frontend._connections.pop(self, None)
 
     @property
     def query_count(self) -> int:
@@ -174,31 +176,36 @@ class RealtimeConnection:
         self._emitted_ts = target
         tracer = self._frontend.tracer
         for state in self._states.values():
-            if target > state.max_commit_version:
-                delta = self._frontend._apply_pending(state, target)
-                if delta is not None and not delta.is_empty:
-                    with tracer.span(
-                        "listener.notify",
-                        component="frontend",
-                        attributes={
-                            "read_ts": delta.read_ts,
-                            "added": len(delta.added),
-                            "modified": len(delta.modified),
-                            "removed": len(delta.removed),
-                        }
-                        if tracer
-                        else None,
-                    ):
-                        state.on_snapshot(delta)
-                    recorder = self._frontend.recorder
-                    if recorder is not None:
-                        recorder.notify(
-                            state.record_tag,
-                            delta.read_ts,
-                            False,
-                            _delta_paths(delta),
-                        )
-                    emitted += 1
+            if target <= state.max_commit_version:
+                continue
+            if not state.pending or all(ts > target for ts, _ in state.pending):
+                # a bystander: nothing is ready, only the version advances
+                state.max_commit_version = target
+                continue
+            delta = self._frontend._apply_pending(state, target)
+            if delta is not None and not delta.is_empty:
+                with tracer.span(
+                    "listener.notify",
+                    component="frontend",
+                    attributes={
+                        "read_ts": delta.read_ts,
+                        "added": len(delta.added),
+                        "modified": len(delta.modified),
+                        "removed": len(delta.removed),
+                    }
+                    if tracer
+                    else None,
+                ):
+                    state.on_snapshot(delta)
+                recorder = self._frontend.recorder
+                if recorder is not None:
+                    recorder.notify(
+                        state.record_tag,
+                        delta.read_ts,
+                        False,
+                        _delta_paths(delta),
+                    )
+                emitted += 1
         return emitted
 
 
@@ -210,7 +217,9 @@ class Frontend:
 
         self.backend = backend
         self.matcher = matcher
-        self._connections: set[RealtimeConnection] = set()
+        # insertion-ordered, so delivery order is connect order in every
+        # process (a set of id-hashed objects iterates by address)
+        self._connections: dict[RealtimeConnection, None] = {}
         self._conn_ids = itertools.count(1)
         # observability
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -225,7 +234,7 @@ class Frontend:
     def connect(self) -> RealtimeConnection:
         """Open a new long-lived client connection."""
         connection = RealtimeConnection(self, next(self._conn_ids))
-        self._connections.add(connection)
+        self._connections[connection] = None
         return connection
 
     @property
@@ -268,7 +277,7 @@ class Frontend:
 
     # -- query lifecycle --------------------------------------------------------------
 
-    def _start_query(self, state: _QueryState, is_initial: bool) -> None:
+    def _start_query(self, state: _QueryState) -> None:
         """Steps 2-4: initial snapshot via the Backend, then Subscribe."""
         previous = dict(state.result)
         result = self.backend.run_query(state.query)
@@ -293,7 +302,12 @@ class Frontend:
         state.range_watermarks = {
             range_id: result.read_ts for range_id in subscription.range_ids
         }
-        delta = self._diff_snapshots(state, previous, result.read_ts, is_initial=True)
+        # the whole result is touched: diff it against the last view
+        # (empty on the first listen)
+        before = {path: previous.get(path) for path in (*previous, *state.result)}
+        delta = self._touched_delta(
+            state, before, list(previous), result.read_ts, is_initial=True
+        )
         with self.tracer.span(
             "listener.notify",
             component="frontend",
@@ -326,82 +340,143 @@ class Frontend:
         self.resets += 1
         if state.subscription is not None:
             self.matcher.unsubscribe(state.subscription.subscription_id)
-        self._start_query(state, is_initial=False)
+        self._start_query(state)
 
     # -- applying buffered changes --------------------------------------------------------
 
     def _apply_pending(self, state: _QueryState, target_ts: int) -> Optional[SnapshotDelta]:
-        """Apply buffered changes with commit_ts <= target, build a delta."""
+        """Apply buffered changes with commit_ts <= target, build a delta.
+
+        Only called when a change is ready (``_pump`` skips bystanders).
+        The delta comes from the paths that the ready changes and limit
+        trimming touched, not from a re-diff of the whole result.
+        """
         ready = sorted(
             (item for item in state.pending if item[0] <= target_ts),
             key=lambda item: item[0],
         )
         state.pending = [item for item in state.pending if item[0] > target_ts]
-        previous = dict(state.result)
+        result = state.result
         limit = state.normalized.query.limit
-        at_capacity = limit is not None and len(state.result) >= limit
+        at_capacity = limit is not None and len(result) >= limit
+        #: each touched path's entry before this apply (None: not a member)
+        before: dict[Path, Optional[tuple[dict, int, int]]] = {}
+        #: the pre-apply member order, taken before the first removal;
+        #: ``removed`` follows it
+        members: Optional[list[Path]] = None
 
         for commit_ts, change in ready:
-            matches_now = document_matches_query(
-                state.normalized, change.path, change.new_data
-            )
-            if matches_now:
-                create_ts = self._create_ts(state, change, commit_ts)
-                state.result[change.path] = (change.new_data, commit_ts, create_ts)
-            elif change.path in state.result:
-                del state.result[change.path]
-                if limit is not None and at_capacity:
+            path = change.path
+            if path not in before:
+                before[path] = result.get(path)
+            if document_matches_query(state.normalized, path, change.new_data):
+                create_ts = change.create_ts
+                result[path] = (
+                    change.new_data,
+                    commit_ts,
+                    commit_ts if create_ts is None else create_ts,
+                )
+            elif path in result:
+                if at_capacity:
                     # a member left a full limited result set: the next
                     # entrant is outside our view; re-run the query
-                    state.needs_reset = True
-                    self._reset_query(state)
-                    return None
+                    return self._roll_back_and_reset(state, before, members)
+                if members is None:
+                    members = list(result)
+                del result[path]
 
-        if limit is not None:
-            self._trim_to_limit(state, limit)
+        if limit is not None and len(result) > limit:
+            if members is None:
+                members = list(result)
+            for path in self._members_in_order(state)[limit:]:
+                before.setdefault(path, result[path])
+                del result[path]
+        if at_capacity and state.documents and self._past_window(state, before):
+            # a member moved past the old last member of a full limited
+            # result set: a document outside our view may now precede it
+            return self._roll_back_and_reset(state, before, members)
         state.max_commit_version = target_ts
-        return self._diff_snapshots(state, previous, target_ts, is_initial=False)
+        return self._touched_delta(state, before, members, target_ts)
 
-    def _create_ts(self, state: _QueryState, change: DocumentChange, commit_ts: int) -> int:
-        if change.is_create:
-            return commit_ts
-        existing = state.result.get(change.path)
-        return existing[2] if existing is not None else commit_ts
-
-    def _trim_to_limit(self, state: _QueryState, limit: int) -> None:
-        if len(state.result) <= limit:
-            return
-        key = query_order_key(state.normalized)
-        ordered = sorted(
-            ((path, data) for path, (data, _, _) in state.result.items()), key=key
-        )
-        for path, _ in ordered[limit:]:
-            del state.result[path]
-
-    def _diff_snapshots(
+    def _roll_back_and_reset(
         self,
         state: _QueryState,
-        previous: dict[Path, tuple[dict, int, int]],
-        read_ts: int,
-        is_initial: bool,
-    ) -> SnapshotDelta:
+        before: dict[Path, Optional[tuple[dict, int, int]]],
+        members: Optional[list[Path]],
+    ) -> None:
+        """Undo a partly applied batch, then reset the query, so the
+        reset's snapshot diffs against what the listener last saw."""
+        result = state.result
+        order = members if members is not None else list(result)
+        state.result = {
+            path: before[path] if path in before else result[path]
+            for path in order
+            if path not in before or before[path] is not None
+        }
+        self._reset_query(state)
+
+    def _past_window(
+        self, state: _QueryState, before: dict[Path, Optional[tuple[dict, int, int]]]
+    ) -> bool:
+        """Does a touched member now sort after the last delivered one?"""
         key = query_order_key(state.normalized)
-        ordered = sorted(
-            ((path, data) for path, (data, _, _) in state.result.items()), key=key
+        last = state.documents[-1]
+        boundary = key((last.path, last.data))
+        result = state.result
+        return any(
+            path in result and key((path, result[path][0])) > boundary
+            for path in before
         )
-        documents = tuple(
-            Document(path, data, state.result[path][2], state.result[path][1])
-            for path, data in ordered
+
+    def _touched_delta(
+        self,
+        state: _QueryState,
+        before: dict[Path, Optional[tuple[dict, int, int]]],
+        members: Optional[list[Path]],
+        read_ts: int,
+        is_initial: bool = False,
+    ) -> SnapshotDelta:
+        """The delta of an apply that touched exactly ``before``'s paths
+        (every path, for an initial snapshot or a reset).
+
+        While membership holds and no touched document moved in the
+        query order, the cached ``documents`` are reused with only the
+        touched entries replaced; otherwise they are re-sorted.
+        """
+        result = state.result
+        rebuilt: dict[Path, Document] = {}
+        for path in before:
+            entry = result.get(path)
+            if entry is not None:
+                rebuilt[path] = Document(path, entry[0], entry[2], entry[1])
+        resort = len(rebuilt) != len(before) or any(
+            before[path] is None
+            or _order_moved(state.normalized, before[path][0], doc.data)
+            for path, doc in rebuilt.items()
         )
+        if resort:
+            documents = self._ordered_documents(state)
+        else:
+            documents = tuple(rebuilt.get(doc.path, doc) for doc in state.documents)
+        state.documents = documents
         added = []
         modified = []
         for doc in documents:
-            old = previous.get(doc.path)
-            if old is None:
-                added.append(doc)
-            elif old[0] != doc.data:
-                modified.append(doc)
-        removed = tuple(path for path in previous if path not in state.result)
+            if doc.path in rebuilt:
+                old = before[doc.path]
+                if old is None:
+                    added.append(doc)
+                elif old[0] != doc.data:
+                    modified.append(doc)
+        removed = (
+            ()
+            if members is None
+            else tuple(
+                path
+                for path in members
+                if path not in result and before[path] is not None
+            )
+        )
         return SnapshotDelta(
             query_tag=state.tag,
             read_ts=read_ts,
@@ -411,3 +486,29 @@ class Frontend:
             documents=documents,
             is_initial=is_initial,
         )
+
+    def _members_in_order(self, state: _QueryState) -> list[Path]:
+        """The result's paths, sorted in query order."""
+        key = query_order_key(state.normalized)
+        ordered = sorted(
+            ((path, data) for path, (data, _, _) in state.result.items()), key=key
+        )
+        return [path for path, _ in ordered]
+
+    def _ordered_documents(self, state: _QueryState) -> tuple[Document, ...]:
+        """The whole result as Documents, sorted in query order."""
+        result = state.result
+        return tuple(
+            Document(path, result[path][0], result[path][2], result[path][1])
+            for path in self._members_in_order(state)
+        )
+
+
+def _order_moved(normalized: NormalizedQuery, old: dict, new: dict) -> bool:
+    """Did an update change any field the query orders by?"""
+    for order in normalized.core_orders:
+        _, old_value = get_field(old, order.field_path)
+        _, new_value = get_field(new, order.field_path)
+        if compare_values(old_value, new_value):
+            return True
+    return False

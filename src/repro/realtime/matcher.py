@@ -9,6 +9,14 @@ timestamps are forwarded.
 A change is relevant when the document matched the query *before or
 after* the mutation — leaving a result set is as much an update as
 entering it.
+
+Each range keeps an equality candidate index so a change costs work only
+for the queries it can match: a subscription whose query has a ``==``
+filter on a string sits in the bucket for that (field, value); every
+other subscription is unindexed. A change's candidates are the unindexed
+subscriptions plus the buckets its old *and* new field values hit. Only
+strings are indexed: numbers, booleans and NaN compare equal across
+Python types differently from the query model's total order.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.path import Path
-from repro.core.query import NormalizedQuery, matches_filter
+from repro.core.query import NormalizedQuery, Operator, matches_filter
 from repro.core.values import get_field
 from repro.realtime.protocol import DocumentChange
 from repro.realtime.ranges import NameRange, RangeOwnership
@@ -61,6 +69,68 @@ class Subscription:
     range_ids: set[int]
 
 
+def _equality_key(normalized: NormalizedQuery) -> Optional[tuple[str, str]]:
+    """The (field, value) of the query's first ``==`` filter on a string."""
+    for flt in normalized.query.filters:
+        if flt.op is Operator.EQ and type(flt.value) is str:
+            return flt.field_path, flt.value
+    return None
+
+
+class _RangeSubscriptions:
+    """One range's subscriptions, with the equality candidate index."""
+
+    def __init__(self):
+        #: every subscription on the range, in ascending id
+        self.all: dict[int, Subscription] = {}
+        self._unindexed: dict[int, Subscription] = {}
+        #: field path -> string value -> {subscription_id: Subscription}
+        self._buckets: dict[str, dict[str, dict[int, Subscription]]] = {}
+
+    def add(self, subscription: Subscription) -> None:
+        sid = subscription.subscription_id
+        self.all[sid] = subscription
+        key = _equality_key(subscription.normalized)
+        if key is None:
+            self._unindexed[sid] = subscription
+        else:
+            field_path, value = key
+            self._buckets.setdefault(field_path, {}).setdefault(value, {})[
+                sid
+            ] = subscription
+
+    def remove(self, subscription: Subscription) -> None:
+        sid = subscription.subscription_id
+        if self.all.pop(sid, None) is None:
+            return
+        key = _equality_key(subscription.normalized)
+        if key is None:
+            del self._unindexed[sid]
+            return
+        field_path, value = key
+        by_value = self._buckets[field_path]
+        del by_value[value][sid]
+        if not by_value[value]:
+            del by_value[value]
+            if not by_value:
+                del self._buckets[field_path]
+
+    def candidates(self, change: DocumentChange) -> list[Subscription]:
+        """Subscriptions the change may match, in ascending id."""
+        found = dict(self._unindexed)
+        versions = (change.old_data, change.new_data)
+        for field_path, by_value in self._buckets.items():
+            for data in versions:
+                if data is None:
+                    continue
+                present, value = get_field(data, field_path)
+                if present and isinstance(value, str):
+                    bucket = by_value.get(value)
+                    if bucket:
+                        found.update(bucket)
+        return [found[sid] for sid in sorted(found)]
+
+
 class QueryMatcher:
     """Matcher tasks for one database's ranges."""
 
@@ -69,8 +139,7 @@ class QueryMatcher:
 
         self.ownership = ownership
         self._ids = itertools.count(1)
-        # range_id -> {subscription_id -> Subscription}
-        self._by_range: dict[int, dict[int, Subscription]] = {}
+        self._by_range: dict[int, _RangeSubscriptions] = {}
         self._subs: dict[int, Subscription] = {}
         # observability
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -101,9 +170,10 @@ class QueryMatcher:
         )
         self._subs[subscription.subscription_id] = subscription
         for name_range in ranges:
-            self._by_range.setdefault(name_range.range_id, {})[
-                subscription.subscription_id
-            ] = subscription
+            range_subs = self._by_range.get(name_range.range_id)
+            if range_subs is None:
+                range_subs = self._by_range[name_range.range_id] = _RangeSubscriptions()
+            range_subs.add(subscription)
         return subscription
 
     def unsubscribe(self, subscription_id: int) -> None:
@@ -112,7 +182,9 @@ class QueryMatcher:
         if subscription is None:
             return
         for range_id in subscription.range_ids:
-            self._by_range.get(range_id, {}).pop(subscription_id, None)
+            range_subs = self._by_range.get(range_id)
+            if range_subs is not None:
+                range_subs.remove(subscription)
 
     def subscription_count(self) -> int:
         """Registered subscriptions."""
@@ -122,7 +194,6 @@ class QueryMatcher:
 
     def on_change(self, name_range: NameRange, change: DocumentChange) -> None:
         """Changelog fan-in: match one mutation against subscribers."""
-        examined = 0
         forwarded = 0
         attrs = (
             {"range_id": name_range.range_id, "path": str(change.path)}
@@ -132,10 +203,11 @@ class QueryMatcher:
         with self.tracer.span(
             "matcher.match", component="realtime", attributes=attrs
         ) as span:
-            for subscription in list(
-                self._by_range.get(name_range.range_id, {}).values()
-            ):
-                examined += 1
+            range_subs = self._by_range.get(name_range.range_id)
+            # "examined" counts the subscriptions registered on the range;
+            # only the index's candidates are tested against the change
+            examined = len(range_subs.all) if range_subs is not None else 0
+            for subscription in range_subs.candidates(change) if examined else ():
                 if change.commit_ts <= subscription.resume_ts:
                     continue
                 relevant = document_matches_query(
@@ -156,7 +228,7 @@ class QueryMatcher:
 
     def on_heartbeat(self, name_range: NameRange, watermark: int) -> None:
         """Changelog fan-in: forward a range watermark."""
-        for subscription in list(self._by_range.get(name_range.range_id, {}).values()):
+        for subscription in self._subscriptions(name_range.range_id):
             subscription.notify_watermark(
                 subscription.subscription_id, name_range.range_id, watermark
             )
@@ -164,11 +236,16 @@ class QueryMatcher:
     def on_out_of_sync(self, name_range: NameRange) -> None:
         """Propagate the reset "all the way up to all Frontend tasks with a
         real-time query that matches the name range"."""
-        for subscription in list(self._by_range.get(name_range.range_id, {}).values()):
+        for subscription in self._subscriptions(name_range.range_id):
             subscription.notify_reset(subscription.subscription_id)
 
     def on_reassign(self, old: NameRange, new: list[NameRange]) -> None:
         """Ownership moved (Slicer re-sharding): reset affected queries."""
-        affected = list(self._by_range.pop(old.range_id, {}).values())
-        for subscription in affected:
+        range_subs = self._by_range.pop(old.range_id, None)
+        for subscription in list(range_subs.all.values()) if range_subs else ():
             subscription.notify_reset(subscription.subscription_id)
+
+    def _subscriptions(self, range_id: int) -> list[Subscription]:
+        """A snapshot of the range's subscriptions, in ascending id."""
+        range_subs = self._by_range.get(range_id)
+        return list(range_subs.all.values()) if range_subs is not None else []

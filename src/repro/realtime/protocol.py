@@ -38,20 +38,19 @@ class DocumentChange:
     old_data: Optional[dict]  # None: the document did not exist
     new_data: Optional[dict]  # None: the document was deleted
     commit_ts: int = 0        # filled in by the Accept
+    #: the document's creation timestamp; None when this commit creates it
+    create_ts: Optional[int] = None
 
     def with_commit_ts(self, commit_ts: int) -> "DocumentChange":
         """A copy stamped with the commit timestamp."""
-        return DocumentChange(self.path, self.old_data, self.new_data, commit_ts)
+        return DocumentChange(
+            self.path, self.old_data, self.new_data, commit_ts, self.create_ts
+        )
 
     @property
     def is_delete(self) -> bool:
         """The document was removed."""
         return self.new_data is None
-
-    @property
-    def is_create(self) -> bool:
-        """The document is new."""
-        return self.old_data is None and self.new_data is not None
 
 
 @dataclass(slots=True)
