@@ -20,7 +20,12 @@ from typing import Any, Iterator, Optional
 
 from repro.errors import InternalError
 from repro.core.document import Document
-from repro.core.encoding import encode_doc_name, encode_value, prefix_successor
+from repro.core.encoding import (
+    decode_doc_name,
+    encode_doc_name,
+    encode_value,
+    prefix_successor,
+)
 from repro.core.index_entries import scan_prefix
 from repro.core.indexes import IndexMode
 from repro.core.layout import ENTITIES, INDEX_ENTRIES, DatabaseLayout, EntityRow
@@ -34,7 +39,7 @@ from repro.core.query import (
     matches_filter,
 )
 from repro.core.serialization import deserialize_document
-from repro.core.values import get_field
+from repro.core.values import get_field, set_field
 
 
 @dataclass
@@ -172,8 +177,6 @@ class QueryExecutor:
             parent = normalized.query.parent
             start, end = self.layout.collection_scan_range(parent)
             expected_depth = parent.depth + 1
-            from repro.core.encoding import decode_doc_name
-
             prefix_len = len(self.layout.directory_prefix)
             for key, _row in self._scan(
                 ENTITIES, _ByteRange(start, end), read_ts, txn, False
@@ -484,11 +487,10 @@ class QueryExecutor:
         reverse: bool,
     ) -> Iterator[tuple[bytes, Any]]:
         if txn is not None:
-            yield from txn.scan(table, bounds.start, bounds.end, reverse=reverse)
-        else:
-            yield from self.layout.spanner.snapshot_scan(
-                table, bounds.start, bounds.end, read_ts, reverse=reverse
-            )
+            return txn.scan(table, bounds.start, bounds.end, reverse=reverse)
+        return self.layout.spanner.snapshot_scan(
+            table, bounds.start, bounds.end, read_ts, reverse=reverse
+        )
 
     def _fetch_document(self, path: Path, read_ts: int, txn) -> Optional[Document]:
         key = self.layout.entity_key(path)
@@ -504,8 +506,6 @@ class QueryExecutor:
         return self._row_to_document(path, row, version_ts)
 
     def _decode_entity(self, key: bytes, row: Any, read_ts: int, txn) -> Optional[Document]:
-        from repro.core.encoding import decode_doc_name
-
         relative = key[len(self.layout.directory_prefix) :]
         segments, _ = decode_doc_name(relative)
         # re-read for the version timestamp (cheap: same tablet, cached path)
@@ -546,8 +546,6 @@ class QueryExecutor:
         projection = normalized.query.projection
         if projection is None:
             return doc
-        from repro.core.values import set_field
-
         data: dict = {}
         for field_path in projection:
             present, value = get_field(doc.data, field_path)

@@ -21,7 +21,13 @@ from typing import Any, Optional, Sequence
 from repro.errors import InvalidArgument
 from repro.core.encoding import ASCENDING, DESCENDING
 from repro.core.path import Path, collection_path
-from repro.core.values import validate_value
+from repro.core.values import (
+    compare_values,
+    get_field,
+    type_rank,
+    validate_value,
+    values_equal,
+)
 
 #: The pseudo-field naming the document itself.
 NAME_FIELD = "__name__"
@@ -280,8 +286,6 @@ class NormalizedQuery:
 
 def matches_filter(doc_data: dict, flt: Filter) -> bool:
     """Evaluate one filter against document data (residual verification)."""
-    from repro.core.values import compare_values, get_field, values_equal
-
     present, value = get_field(doc_data, flt.field_path)
     if not present:
         return False
@@ -298,8 +302,6 @@ def matches_filter(doc_data: dict, flt: Filter) -> bool:
     # Inequality comparisons only match values of the same type rank
     # (production semantics: an inequality on a number never matches a
     # string, because those live in disjoint ranges of the index).
-    from repro.core.values import type_rank
-
     if type_rank(value) != type_rank(flt.value):
         return False
     if flt.op is Operator.LT:

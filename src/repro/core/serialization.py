@@ -32,6 +32,9 @@ _WIRE_MAP = 11
 # resolves the transform before anything reaches the Entities table
 _WIRE_SERVER_TIMESTAMP = 12
 
+_DOUBLE = struct.Struct(">d")
+_GEOPOINT = struct.Struct(">dd")
+
 
 def _write_varint(value: int, out: bytearray) -> None:
     """Unsigned LEB128."""
@@ -67,10 +70,6 @@ def _zigzag(value: int) -> int:
     return (value << 1) ^ (value >> 127)  # works for arbitrary precision
 
 
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
 def _write_value(value: Any, out: bytearray) -> None:
     if value is SERVER_TIMESTAMP:
         out.append(_WIRE_SERVER_TIMESTAMP)
@@ -83,7 +82,7 @@ def _write_value(value: Any, out: bytearray) -> None:
         _write_varint(_zigzag(value), out)
     elif isinstance(value, float):
         out.append(_WIRE_DOUBLE)
-        out += struct.pack(">d", value)
+        out += _DOUBLE.pack(value)
     elif isinstance(value, Timestamp):
         out.append(_WIRE_TIMESTAMP)
         _write_varint(_zigzag(value.micros), out)
@@ -103,7 +102,7 @@ def _write_value(value: Any, out: bytearray) -> None:
         out += raw
     elif isinstance(value, GeoPoint):
         out.append(_WIRE_GEOPOINT)
-        out += struct.pack(">dd", value.latitude, value.longitude)
+        out += _GEOPOINT.pack(value.latitude, value.longitude)
     elif isinstance(value, list):
         out.append(_WIRE_ARRAY)
         _write_varint(len(value), out)
@@ -122,61 +121,99 @@ def _write_value(value: Any, out: bytearray) -> None:
 
 
 def _read_value(data: bytes, offset: int) -> tuple[Any, int]:
-    if offset >= len(data):
+    """Decode the value at ``offset``; returns ``(value, next offset)``.
+
+    One pass per container: the loop decodes each item in line and
+    recurses only into nested arrays and maps. A lone scalar is read as
+    the single item of a one-item sequence. Single-byte varints (small
+    ints, short strings, small counts) are read in line too.
+    """
+    end = len(data)
+    if offset >= end:
         raise InvalidArgument("truncated value")
     wire = data[offset]
-    offset += 1
-    if wire == _WIRE_SERVER_TIMESTAMP:
-        return SERVER_TIMESTAMP, offset
-    if wire == _WIRE_NULL:
-        return None, offset
-    if wire == _WIRE_FALSE:
-        return False, offset
-    if wire == _WIRE_TRUE:
-        return True, offset
-    if wire == _WIRE_INT:
-        raw, offset = _read_varint(data, offset)
-        return _unzigzag(raw), offset
-    if wire == _WIRE_DOUBLE:
-        if offset + 8 > len(data):
-            raise InvalidArgument("truncated double")
-        (value,) = struct.unpack_from(">d", data, offset)
-        return value, offset + 8
-    if wire == _WIRE_TIMESTAMP:
-        raw, offset = _read_varint(data, offset)
-        return Timestamp(_unzigzag(raw)), offset
-    if wire in (_WIRE_STRING, _WIRE_BYTES, _WIRE_REFERENCE):
-        length, offset = _read_varint(data, offset)
-        if offset + length > len(data):
-            raise InvalidArgument("truncated string/bytes")
-        raw = data[offset : offset + length]
-        offset += length
-        if wire == _WIRE_BYTES:
-            return bytes(raw), offset
-        text = raw.decode("utf-8")
-        return (Reference(text) if wire == _WIRE_REFERENCE else text), offset
-    if wire == _WIRE_GEOPOINT:
-        if offset + 16 > len(data):
-            raise InvalidArgument("truncated geopoint")
-        lat, lon = struct.unpack_from(">dd", data, offset)
-        return GeoPoint(lat, lon), offset + 16
-    if wire == _WIRE_ARRAY:
-        count, offset = _read_varint(data, offset)
-        items = []
+    keyed = wire == _WIRE_MAP
+    lone = not keyed and wire != _WIRE_ARRAY
+    result: Any = {} if keyed else []
+    if lone:
+        count = 1
+    else:
+        offset += 1
+        if offset < end and data[offset] < 0x80:
+            count = data[offset]
+            offset += 1
+        else:
+            count, offset = _read_varint(data, offset)
+    try:
         for _ in range(count):
-            item, offset = _read_value(data, offset)
-            items.append(item)
-        return items, offset
-    if wire == _WIRE_MAP:
-        count, offset = _read_varint(data, offset)
-        result: dict[str, Any] = {}
-        for _ in range(count):
-            key_len, offset = _read_varint(data, offset)
-            key = data[offset : offset + key_len].decode("utf-8")
-            offset += key_len
-            value, offset = _read_value(data, offset)
-            result[key] = value
-        return result, offset
+            if keyed:
+                if offset < end and data[offset] < 0x80:
+                    length = data[offset]
+                    offset += 1
+                else:
+                    length, offset = _read_varint(data, offset)
+                key = data[offset : offset + length].decode("utf-8")
+                offset += length
+            if offset >= end:
+                raise InvalidArgument("truncated value")
+            wire = data[offset]
+            offset += 1
+            if wire == _WIRE_STRING or wire == _WIRE_BYTES or wire == _WIRE_REFERENCE:
+                if offset < end and data[offset] < 0x80:
+                    length = data[offset]
+                    offset += 1
+                else:
+                    length, offset = _read_varint(data, offset)
+                if offset + length > end:
+                    raise InvalidArgument("truncated string/bytes")
+                raw = data[offset : offset + length]
+                offset += length
+                if wire == _WIRE_BYTES:
+                    value = bytes(raw)
+                else:
+                    value = raw.decode("utf-8")
+                    if wire == _WIRE_REFERENCE:
+                        value = Reference(value)
+            elif wire == _WIRE_INT or wire == _WIRE_TIMESTAMP:
+                if offset < end and data[offset] < 0x80:
+                    value = data[offset]
+                    offset += 1
+                else:
+                    value, offset = _read_varint(data, offset)
+                value = (value >> 1) ^ -(value & 1)
+                if wire == _WIRE_TIMESTAMP:
+                    value = Timestamp(value)
+            elif wire == _WIRE_DOUBLE:
+                if offset + 8 > end:
+                    raise InvalidArgument("truncated double")
+                (value,) = _DOUBLE.unpack_from(data, offset)
+                offset += 8
+            elif wire == _WIRE_TRUE:
+                value = True
+            elif wire == _WIRE_FALSE:
+                value = False
+            elif wire == _WIRE_MAP or wire == _WIRE_ARRAY:
+                value, offset = _read_value(data, offset - 1)
+            elif wire == _WIRE_NULL:
+                value = None
+            elif wire == _WIRE_GEOPOINT:
+                if offset + 16 > end:
+                    raise InvalidArgument("truncated geopoint")
+                value = GeoPoint(*_GEOPOINT.unpack_from(data, offset))
+                offset += 16
+            elif wire == _WIRE_SERVER_TIMESTAMP:
+                value = SERVER_TIMESTAMP
+            else:
+                break  # an unknown wire type, reported below
+            if keyed:
+                result[key] = value
+            else:
+                result.append(value)
+        else:
+            return (result[0] if lone else result), offset
+    except UnicodeDecodeError:
+        # a string, reference or map key that is not valid UTF-8
+        raise InvalidArgument("malformed UTF-8 in document") from None
     raise InvalidArgument(f"unknown wire type {wire}")
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 from typing import Any, Iterator
 
@@ -251,6 +250,13 @@ def validate_value(value: Any, depth: int = 0) -> None:
 
 def compare_values(a: Any, b: Any) -> int:
     """Three-way comparison in Firestore's total order (-1, 0, or 1)."""
+    # same-type strings and numbers compare natively; NaN (which is not
+    # equal to itself) keeps its own rank below
+    kind = type(a)
+    if kind is type(b) and (
+        kind is str or kind is int or (kind is float and a == a and b == b)
+    ):
+        return (a > b) - (a < b)
     rank_a, rank_b = type_rank(a), type_rank(b)
     if rank_a != rank_b:
         return -1 if rank_a < rank_b else 1
@@ -259,16 +265,8 @@ def compare_values(a: Any, b: Any) -> int:
     if rank_a == _RANK_BOOL:
         return (a > b) - (a < b)
     if rank_a == _RANK_NUMBER:
-        # exact numeric comparison across int64 and double
-        fa = Fraction(a) if not isinstance(a, float) else Fraction(*a.as_integer_ratio()) if math.isfinite(a) else None
-        if fa is None:  # a is +/- inf
-            fa = math.inf if a > 0 else -math.inf
-        fb = Fraction(b) if not isinstance(b, float) else Fraction(*b.as_integer_ratio()) if math.isfinite(b) else None
-        if fb is None:
-            fb = math.inf if b > 0 else -math.inf
-        if fa == fb:
-            return 0
-        return -1 if fa < fb else 1
+        # CPython compares int and float by exact numeric value
+        return (a > b) - (a < b)
     if rank_a == _RANK_TIMESTAMP:
         return (a.micros > b.micros) - (a.micros < b.micros)
     if rank_a in (_RANK_STRING, _RANK_BYTES):

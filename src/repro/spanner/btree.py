@@ -78,6 +78,17 @@ class BTreeMap:
             node = node.children[idx]
         return node
 
+    def leaf_at(self, key: bytes) -> tuple[_Leaf, int]:
+        """The leaf where ``key`` belongs and the index of the first key
+        >= ``key`` in it (which may be one past its end).
+
+        A start position for callers that walk the linked leaves
+        themselves: ``leaf.keys``/``leaf.values`` in order, then
+        ``leaf.next`` (or ``leaf.prev`` from ``index - 1`` in reverse).
+        """
+        leaf = self._find_leaf(key)
+        return leaf, bisect.bisect_left(leaf.keys, key)
+
     def get(self, key: bytes, default: Any = None) -> Any:
         """The value for a key, or the default."""
         leaf = self._find_leaf(key)

@@ -221,6 +221,13 @@ class SpannerDatabase:
         Yields (row_key, value) with the table tag stripped. The scan
         chains across tablets in key order (reverse order if requested),
         mirroring Spanner's efficient in-order linear scans.
+
+        Each row costs one resumption of this generator: it walks each
+        tablet's linked B+tree leaves itself and applies MVCC visibility
+        in line (a chain whose newest version is visible needs no
+        search). Leaves are re-read at every step, so rows committed
+        into the tablet mid-scan are seen as :meth:`BTreeMap.items`
+        would see them.
         """
         schema = self.table(table)
         cstart = schema.composite_key(start if start is not None else b"")
@@ -235,7 +242,45 @@ class SpannerDatabase:
         yielded = 0
         for tablet in tablets:
             tablet.stats.record_read(now)
-            for ckey, value in tablet.scan_at(cstart, cend, read_ts, reverse=reverse):
+            lo = cstart if cstart > tablet.start_key else tablet.start_key
+            hi = cend
+            if tablet.end_key is not None and hi > tablet.end_key:
+                hi = tablet.end_key
+            if reverse:
+                leaf, idx = tablet.rows.leaf_at(hi)
+                idx -= 1
+            else:
+                leaf, idx = tablet.rows.leaf_at(lo)
+            while leaf is not None:
+                if reverse:
+                    if idx < 0:
+                        leaf = leaf.prev
+                        idx = len(leaf.keys) - 1 if leaf is not None else -1
+                        continue
+                    ckey = leaf.keys[idx]
+                    if ckey < lo:
+                        break
+                    chain = leaf.values[idx]
+                    idx -= 1
+                else:
+                    if idx >= len(leaf.keys):
+                        leaf = leaf.next
+                        idx = 0
+                        continue
+                    ckey = leaf.keys[idx]
+                    if ckey >= hi:
+                        break
+                    chain = leaf.values[idx]
+                    idx += 1
+                # visibility in line: a chain whose newest version is at
+                # or before read_ts needs no search of its stamps
+                stamps = chain._ts
+                if stamps and stamps[-1] <= read_ts:
+                    value = chain._values[-1]
+                else:
+                    value = chain.read_at(read_ts)
+                if value is TOMBSTONE:
+                    continue
                 yield ckey[1:], value
                 yielded += 1
                 if limit is not None and yielded >= limit:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -242,3 +243,36 @@ def test_property_compare_is_a_total_order(a, b, c):
         assert ac <= 0
     if ab >= 0 and bc >= 0:
         assert ac >= 0
+
+
+def _exact(value):
+    """The oracle's numeric key: an exact Fraction, or +/-inf as a float
+    (infinities compare correctly against every Fraction)."""
+    if isinstance(value, float) and math.isinf(value):
+        return value
+    return Fraction(value)
+
+
+#: numbers where double rounding and int/float mixing bite
+_EDGE_NUMBERS = [
+    2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1,
+    float(2**53), float(2**53 + 2), -float(2**53),
+    2**63 - 1, -(2**63), float(2**63), -float(2**63),
+    0, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    math.inf, -math.inf, 1, 1.0, -1, 0.5,
+]
+
+_numbers = st.one_of(
+    st.sampled_from(_EDGE_NUMBERS),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.floats(allow_nan=False),
+    st.integers(min_value=-(2**60), max_value=2**60).map(float),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(a=_numbers, b=_numbers)
+def test_property_number_order_is_exact(a, b):
+    """int/double comparison agrees with exact rational arithmetic."""
+    fa, fb = _exact(a), _exact(b)
+    assert compare_values(a, b) == (fa > fb) - (fa < fb)
