@@ -1,4 +1,4 @@
-"""``python -m repro.analysis`` — run reprolint over the package tree."""
+"""``python -m repro.analysis`` — run the whole analyser over the package."""
 
 import sys
 

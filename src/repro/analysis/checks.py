@@ -1,9 +1,13 @@
 """The repo-specific lint checks.
 
 Each check is a function ``check(module: ParsedModule) -> list[Diagnostic]``
-registered in :data:`CHECKS` under its stable id. Ids are what inline
-pragmas (``# reprolint: disable=<id> -- reason``) and ``--check`` refer
-to, so they are part of the tool's public interface.
+registered under its stable id in the analyser's one check table
+(:data:`repro.analysis.engine.driver.CHECKS`), next to the engine passes.
+Ids are what inline pragmas (``# reprolint: disable=<id> -- reason``)
+and ``--check`` refer to, so they are part of the tool's public
+interface. Iteration over sets is checked by the engine's dataflow
+``set-iteration`` pass, which sees where a value came from and how the
+loop's result is consumed.
 
 Checks
 ------
@@ -19,12 +23,6 @@ Checks
 ``banned-import``
     Bans importing the ``random``, ``secrets`` and ``time`` modules
     outside ``sim/`` — the only sanctioned randomness/time boundary.
-
-``set-iteration``
-    Flags iteration over set expressions (literals, ``set()``/
-    ``frozenset()`` calls, and locals bound to them). Set iteration
-    order depends on hash randomization for str/bytes keys, so it leaks
-    cross-process nondeterminism; wrap with ``sorted(...)``.
 
 ``layering``
     Enforces :data:`LAYER_CONTRACT`, the sanctioned import graph between
@@ -60,7 +58,7 @@ Checks
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.analysis.reprolint import Diagnostic, ParsedModule
 
@@ -284,82 +282,6 @@ def check_banned_import(module: ParsedModule) -> list[Diagnostic]:
                         "use SimClock/SimRandom instead",
                     )
                 )
-    return out
-
-
-def _is_set_expr(node: ast.expr) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("set", "frozenset")
-    ):
-        return True
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-    ):
-        return _is_set_expr(node.left) or _is_set_expr(node.right)
-    return False
-
-
-def _scope_bodies(tree: ast.Module) -> Iterator[list[ast.stmt]]:
-    yield tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.body
-
-
-def _set_bound_names(body: list[ast.stmt]) -> set[str]:
-    """Names assigned exactly once in this scope, to a set expression."""
-    assigned: dict[str, int] = {}
-    set_bound: set[str] = set()
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            targets: list[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            elif isinstance(node, (ast.AugAssign, ast.For)):
-                targets = [node.target]
-            for target in targets:
-                for name_node in ast.walk(target):
-                    if isinstance(name_node, ast.Name):
-                        assigned[name_node.id] = assigned.get(name_node.id, 0) + 1
-                        if value is not None and _is_set_expr(value):
-                            set_bound.add(name_node.id)
-    return {n for n in sorted(set_bound) if assigned.get(n) == 1}
-
-
-def check_set_iteration(module: ParsedModule) -> list[Diagnostic]:
-    """Order-nondeterministic iteration over a set."""
-    out = []
-    message = (
-        "iterating a set is order-nondeterministic under hash "
-        "randomization; iterate sorted(...) or keep a list"
-    )
-
-    def flag_iter(iter_node: ast.expr, known_sets: set[str]) -> None:
-        if _is_set_expr(iter_node) or (
-            isinstance(iter_node, ast.Name) and iter_node.id in known_sets
-        ):
-            out.append(_diag(module, iter_node, "set-iteration", message))
-
-    for body in _scope_bodies(module.tree):
-        known = _set_bound_names(body)
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.For, ast.AsyncFor)):
-                    flag_iter(node.iter, known)
-                elif isinstance(
-                    node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-                ):
-                    for gen in node.generators:
-                        flag_iter(gen.iter, known)
     return out
 
 
@@ -752,6 +674,11 @@ def _tap_check(check_id: str):
     return check
 
 
+check_history_tap = _tap_check("history-tap")
+check_perf_attribution = _tap_check("perf-attribution")
+check_wait_tap = _tap_check("wait-tap")
+
+
 # -- trace hygiene ------------------------------------------------------------
 
 
@@ -842,17 +769,3 @@ def check_fault_seeded(module: ParsedModule) -> list[Diagnostic]:
             )
     return out
 
-
-CHECKS = {
-    "wallclock": check_wallclock,
-    "banned-import": check_banned_import,
-    "set-iteration": check_set_iteration,
-    "layering": check_layering,
-    "bare-except": check_bare_except,
-    "error-boundary": check_error_boundary,
-    "history-tap": _tap_check("history-tap"),
-    "perf-attribution": _tap_check("perf-attribution"),
-    "wait-tap": _tap_check("wait-tap"),
-    "trace-span-context": check_trace_span_context,
-    "fault-seeded": check_fault_seeded,
-}

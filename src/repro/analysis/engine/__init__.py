@@ -33,6 +33,11 @@ layers — each consumed by the next:
     Hot-path-aware performance checks plus the interprocedural
     (call-graph-propagated) version of the determinism taint.
 
+``driver``
+    The one pipeline ``python -m repro.analysis`` runs: the check table
+    (per-file checks and engine passes alike), the pragma pass, the
+    speed budget and the report.
+
 Everything here is deterministic by construction: modules are visited in
 sorted path order, worklists are sorted, and no set is ever iterated
 directly — the engine must produce byte-identical output across runs and

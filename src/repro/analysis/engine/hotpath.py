@@ -22,12 +22,13 @@ from typing import Optional
 
 from repro.analysis.engine.callgraph import CallGraph
 from repro.analysis.engine.symbols import SymbolTable
+from repro.analysis.reprolint import REPO_ROOT
 
 #: a function is a hot seed at >= this fraction of profiled self time
 HOT_SELF_FRACTION = 0.01
 
-#: repo-relative default ledger location
-DEFAULT_LEDGER = Path("benchmarks") / "profiles" / "speed_ledger.json"
+#: the committed ledger the package itself is analysed against
+DEFAULT_LEDGER = REPO_ROOT / "benchmarks" / "profiles" / "speed_ledger.json"
 
 
 class HotPaths:
@@ -68,7 +69,11 @@ class HotPaths:
             return hot
         data = json.loads(Path(ledger_path).read_text(encoding="utf-8"))
         run_name = data.get("run", "speed run")
-        hot.source = f"{run_name} ledger {Path(ledger_path).as_posix()}"
+        # repo-relative when possible, so reports match across checkouts
+        shown = Path(ledger_path)
+        if shown.is_relative_to(REPO_ROOT):
+            shown = shown.relative_to(REPO_ROOT)
+        hot.source = f"{run_name} ledger {shown.as_posix()}"
         seeds: list[str] = []
         for entry in data.get("functions", []):
             fraction = float(entry.get("self_fraction", 0.0))

@@ -41,59 +41,34 @@ what separates them from :mod:`repro.analysis.checks`:
     per-file ``wallclock`` check flags the direct call; this one flags
     every caller, closing the helper-function soundness hole.
 
-``set-iteration`` (v2)
-    The dataflow-based replacement for the per-file check: iteration
-    over a value whose *origin* (via reaching definitions) is a set,
-    unless the iteration is consumed order-insensitively (``sorted``,
-    ``set``/``frozenset``, ``sum``/``min``/``max``/``len``/``any``/
-    ``all``) — which is exactly the false-positive class the per-file
-    check could not distinguish.
+``set-iteration``
+    Iteration over a value whose *origin* (via reaching definitions) is
+    a set, unless the iteration is consumed order-insensitively
+    (``sorted``, ``set``/``frozenset``, ``sum``/``min``/``max``/``len``/
+    ``any``/``all``). Set iteration order depends on hash randomization
+    for str/bytes keys, so it leaks cross-process nondeterminism.
 
 Findings carry the hot-path evidence (which profiler cell marked the
 function hot) and honor the same ``# reprolint: disable=<check> --
-reason`` pragmas as every other check.
+reason`` pragmas as every other check. Only the first six are perf
+checks, metered against the speed budget; the analyser's check table
+(:data:`repro.analysis.engine.driver.CHECKS`) records which.
 """
 
 from __future__ import annotations
 
 import ast
+from functools import cached_property
 from typing import Iterable, Optional
 
 from repro.analysis.engine.callgraph import CallGraph
 from repro.analysis.engine.cfg import build_cfg
+from repro.analysis.engine.concurrency import FunctionFlow
 from repro.analysis.engine.dataflow import reaching_definitions
+from repro.analysis.engine.effects import EffectAnalysis
 from repro.analysis.engine.hotpath import HotPaths
 from repro.analysis.engine.symbols import FunctionInfo, SymbolTable
 from repro.analysis.reprolint import Diagnostic, ParsedModule
-
-#: check ids contributed by the engine (pragma-recognizable)
-ENGINE_CHECK_IDS = (
-    "missing-slots",
-    "hot-loop-alloc",
-    "repeated-attr-lookup",
-    "dict-dispatch-miss",
-    "try-in-hot-loop",
-    "interned-key-miss",
-    "wallclock-indirect",
-    # v3 concurrency/protocol checks (never budgeted: hard failures)
-    "atomicity-across-yield",
-    "lock-discipline",
-    "typestate",
-    "error-escape",
-)
-
-#: the perf checks the speed budget meters (determinism/layering checks
-#: are never budgeted — they are hard failures)
-BUDGETED_CHECKS = frozenset(
-    {
-        "missing-slots",
-        "hot-loop-alloc",
-        "repeated-attr-lookup",
-        "dict-dispatch-miss",
-        "try-in-hot-loop",
-        "interned-key-miss",
-    }
-)
 
 #: consuming calls for which iteration order cannot be observed
 _ORDER_INSENSITIVE_CALLS = frozenset(
@@ -121,6 +96,22 @@ def _diag(
         check,
         message,
     )
+
+
+def _is_set_expr(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    ):
+        return True
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+    ):
+        return _is_set_expr(node.left) or _is_set_expr(node.right)
+    return False
 
 
 def _walk_no_defs(node: ast.AST, skip_self: bool = True) -> Iterable[ast.AST]:
@@ -173,11 +164,21 @@ class Engine:
         hot = HotPaths.from_ledger(ledger_path, table, graph)
         return cls(modules, table, graph, hot)
 
-    # -- driver ------------------------------------------------------------
+    @cached_property
+    def flows(self) -> dict[str, FunctionFlow]:
+        """Effect-annotated CFG per function, for the concurrency,
+        typestate and protocol checks."""
+        analysis = EffectAnalysis(self.table, self.graph)
+        return {
+            qual: FunctionFlow(info, analysis)
+            for qual, info in sorted(self.table.functions.items())
+        }
 
-    def run_perflint(self) -> list[Diagnostic]:
+    # -- the per-hot-function checks ---------------------------------------
+
+    def check_hot_functions(self) -> list[Diagnostic]:
+        """The hot-loop family and interned-key-miss, per hot function."""
         out: list[Diagnostic] = []
-        out.extend(self.check_missing_slots())
         for qualname, info in self.table.functions.items():
             if qualname not in self.hot:
                 continue
@@ -187,9 +188,7 @@ class Engine:
             evidence = self.hot.why(qualname)
             out.extend(self.check_hot_loops(module, info, evidence))
             out.extend(self.check_interned_keys(module, info, evidence))
-        out.extend(self.check_wallclock_indirect())
-        out.extend(self.check_set_iteration_v2())
-        return sorted(set(out))
+        return out
 
     # -- missing-slots -----------------------------------------------------
 
@@ -542,11 +541,9 @@ class Engine:
         parts.append(tainted[qualname])
         return " -> ".join(parts)
 
-    # -- set-iteration v2 (dataflow origin resolution) --------------------
+    # -- set-iteration (dataflow origin resolution) -----------------------
 
-    def check_set_iteration_v2(self) -> list[Diagnostic]:
-        from repro.analysis.checks import _is_set_expr
-
+    def check_set_iteration(self) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         for module in self.modules:
             parents = _parent_map(module.tree)
@@ -580,8 +577,6 @@ class Engine:
     @staticmethod
     def _module_origins(body: list[ast.stmt]) -> dict[str, list[ast.expr]]:
         """name -> assigned value expressions at module scope."""
-        from repro.analysis.checks import _is_set_expr  # noqa: F401
-
         origins: dict[str, list[ast.expr]] = {}
         for stmt in body:
             targets: list[ast.expr] = []
@@ -639,8 +634,6 @@ class Engine:
         parents: dict[int, ast.AST],
         origins: dict[str, list[ast.expr]],
     ) -> list[Diagnostic]:
-        from repro.analysis.checks import _is_set_expr
-
         message = (
             "iterating a set is order-nondeterministic under hash "
             "randomization; iterate sorted(...) or keep a list"

@@ -1,10 +1,12 @@
-"""reprolint: the repo-specific static linter engine.
+"""reprolint: the repo-specific static analyser's front end.
 
-The engine walks every ``*.py`` file under the ``repro`` package root,
-parses it once, and hands the parsed module to each registered check
-(:mod:`repro.analysis.checks`). Checks yield :class:`Diagnostic` records
-with precise ``file:line:col`` positions; the engine filters diagnostics
-through inline suppression pragmas and renders the survivors.
+``python -m repro.analysis`` parses every ``*.py`` file under the
+``repro`` package root once and runs the whole pipeline over it
+(:mod:`repro.analysis.engine.driver`): the per-file checks
+(:mod:`repro.analysis.checks`) and the engine passes on the project-wide
+IR. Checks yield :class:`Diagnostic` records with precise
+``file:line:col`` positions; one pass filters them through inline
+suppression pragmas and one report renders the survivors.
 
 Suppression pragma syntax (the reason string is mandatory)::
 
@@ -140,14 +142,12 @@ class ParsedModule:
         return above is not None and above.own_line and diag.check in above.checks
 
 
-# -- engine ------------------------------------------------------------------
+# -- tree loading ------------------------------------------------------------
 
-
-def _default_root() -> Path:
-    # reprolint: disable=layering -- locating the installed package, not a subsystem dependency
-    import repro
-
-    return Path(repro.__file__).resolve().parent
+#: the ``repro`` package this module belongs to, and the repository
+#: holding it (where the committed speed budget and ledger live)
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+REPO_ROOT = PACKAGE_ROOT.parents[1]
 
 
 def _iter_sources(root: Path) -> Iterable[Path]:
@@ -159,135 +159,57 @@ def _parse(abs_path: Path, root: Path) -> ParsedModule:
     return ParsedModule(abs_path, rel, abs_path.read_text(encoding="utf-8"))
 
 
-def _run_checks(
-    modules: list[ParsedModule], only: Optional[set[str]] = None
-) -> list[Diagnostic]:
-    from repro.analysis.checks import CHECKS
-    from repro.analysis.engine.perflint import ENGINE_CHECK_IDS
-
-    known_checks = set(CHECKS) | set(ENGINE_CHECK_IDS)
-    unknown_pragma: list[Diagnostic] = []
-    diagnostics: list[Diagnostic] = []
-    for module in modules:
-        diagnostics.extend(module.pragma_errors)
-        for line, pragma in module.pragmas.items():
-            for check in sorted(pragma.checks - known_checks):
-                unknown_pragma.append(
-                    Diagnostic(
-                        module.rel_path,
-                        line,
-                        0,
-                        "pragma",
-                        f"pragma disables unknown check {check!r} "
-                        f"(known: {', '.join(sorted(known_checks))})",
-                    )
-                )
-        for check_id, check in CHECKS.items():
-            if only is not None and check_id not in only:
-                continue
-            for diag in check(module):
-                if not module.suppressed(diag):
-                    diagnostics.append(diag)
-    diagnostics.extend(unknown_pragma)
-    return sorted(set(diagnostics))
-
-
 def lint_tree(
     root: Optional[Path] = None, only: Optional[set[str]] = None
 ) -> list[Diagnostic]:
-    """Lint every python file under ``root`` (default: the repro package)."""
-    root = Path(root) if root is not None else _default_root()
-    modules = [_parse(p, root) for p in _iter_sources(root)]
-    return _run_checks(modules, only)
+    """Every failing finding under ``root`` (default: the repro package)."""
+    from repro.analysis.engine.driver import analyse
 
-
-def lint_paths(
-    paths: Iterable[Path],
-    root: Optional[Path] = None,
-    only: Optional[set[str]] = None,
-) -> list[Diagnostic]:
-    """Lint specific files; ``root`` anchors relative paths and packages."""
-    root = Path(root) if root is not None else _default_root()
-    modules = [_parse(Path(p).resolve(), root.resolve()) for p in paths]
-    return _run_checks(modules, only)
+    return analyse(root, only=only).failures
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """CLI entry point: ``python -m repro.analysis [paths...]``."""
-    from repro.analysis.checks import CHECKS
+    """CLI entry point: ``python -m repro.analysis``."""
+    from repro.analysis.engine.driver import CHECKS, run_engine
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="reprolint: determinism, layering, error-boundary and "
-        "trace-hygiene checks for the Firestore reproduction.",
+        description="reprolint: determinism, layering, error-boundary, "
+        "trace-hygiene, hot-path perf and concurrency checks for the "
+        "Firestore reproduction, in one pipeline.",
     )
     parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files to lint (default: the whole repro package)",
-    )
-    parser.add_argument(
-        "--root", help="package root the relative paths/layering are computed from"
+        "--root",
+        help="package root to analyse (default: the repro package, "
+        "metered against the committed speed budget and ledger)",
     )
     parser.add_argument(
         "--check",
         action="append",
         dest="checks",
         metavar="ID",
-        help="run only this check (repeatable)",
+        help="report only this check's findings (repeatable)",
     )
     parser.add_argument(
         "--list-checks", action="store_true", help="list check ids and exit"
     )
     parser.add_argument(
-        "--engine",
-        action="store_true",
-        help="run the full static-analysis engine (call graph, dataflow, "
-        "hot-path perflint) and meter perf findings against the speed "
-        "budget",
-    )
-    parser.add_argument(
-        "--budget",
-        help="speed-budget TOML (default: benchmarks/speed_budget.toml "
-        "when present; engine mode only)",
-    )
-    parser.add_argument(
-        "--ledger",
-        help="hot-path profiler ledger JSON (default: "
-        "benchmarks/profiles/speed_ledger.json when present; engine "
-        "mode only)",
-    )
-    parser.add_argument(
         "--format",
         dest="report_format",
-        choices=("text", "github", "json"),
+        choices=("text", "json"),
         default="text",
-        help="engine report format: text (default), github workflow "
-        "commands, or a json report (engine mode only)",
+        help="report format: text (default) or a json report",
     )
     parser.add_argument(
         "--out",
         dest="out_path",
-        help="write the json report here instead of stdout "
-        "(engine mode, --format json only)",
+        help="write the json report here instead of stdout",
     )
     args = parser.parse_args(argv)
 
-    if args.engine:
-        from repro.analysis.engine.driver import run_engine
-
-        return run_engine(
-            root=Path(args.root) if args.root else None,
-            budget_path=Path(args.budget) if args.budget else None,
-            ledger_path=Path(args.ledger) if args.ledger else None,
-            report_format=args.report_format,
-            out_path=Path(args.out_path) if args.out_path else None,
-        )
-
     if args.list_checks:
         for check_id, check in sorted(CHECKS.items()):
-            doc = (check.__doc__ or "").strip().splitlines()
-            print(f"{check_id:18s} {doc[0] if doc else ''}")
+            print(f"{check_id:22s} {check.doc}")
         return 0
 
     only = set(args.checks) if args.checks else None
@@ -295,18 +217,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         bad = ", ".join(sorted(only - set(CHECKS)))
         print(f"unknown check(s): {bad}", file=sys.stderr)
         return 2
-    root = Path(args.root) if args.root else None
-    if args.paths:
-        diagnostics = lint_paths([Path(p) for p in args.paths], root, only)
-    else:
-        diagnostics = lint_tree(root, only)
-    for diag in diagnostics:
-        print(diag.render())
-    if diagnostics:
-        print(
-            f"reprolint: {len(diagnostics)} violation(s) in "
-            f"{len({d.path for d in diagnostics})} file(s)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return run_engine(
+        root=Path(args.root) if args.root else None,
+        report_format=args.report_format,
+        out_path=Path(args.out_path) if args.out_path else None,
+        only=only,
+    )

@@ -12,12 +12,13 @@ import sys
 from pathlib import Path
 
 from repro.analysis.engine.driver import (
+    _apply_pragmas,
     _budget_key,
     _parse_budget_text,
     load_budget,
     run_engine,
 )
-from repro.analysis.reprolint import ParsedModule, _run_checks
+from repro.analysis.reprolint import ParsedModule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ENGINEPKG = FIXTURES / "enginepkg"
@@ -155,7 +156,7 @@ def _module(source):
 
 
 def test_engine_check_ids_are_pragma_recognizable():
-    diags = _run_checks(
+    diags = _apply_pragmas(
         [
             _module(
                 "def f():\n"
@@ -163,14 +164,15 @@ def test_engine_check_ids_are_pragma_recognizable():
                 "# reprolint: disable=hot-loop-alloc,wallclock-indirect"
                 " -- engine ids are known to the pragma layer\n"
             )
-        ]
+        ],
+        [],
     )
     assert diags == []
 
 
 def test_unknown_check_in_pragma_is_reported():
-    diags = _run_checks(
-        [_module("# reprolint: disable=flux-capacitor -- not a check\n")]
+    diags = _apply_pragmas(
+        [_module("# reprolint: disable=flux-capacitor -- not a check\n")], []
     )
     assert len(diags) == 1
     assert diags[0].check == "pragma"
@@ -179,8 +181,8 @@ def test_unknown_check_in_pragma_is_reported():
 
 
 def test_pragma_without_reason_is_rejected():
-    diags = _run_checks(
-        [_module("# reprolint: disable=hot-loop-alloc\n")]
+    diags = _apply_pragmas(
+        [_module("# reprolint: disable=hot-loop-alloc\n")], []
     )
     assert len(diags) == 1
     assert diags[0].check == "pragma"
@@ -194,19 +196,14 @@ def _run_cli(hashseed, budget):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    code = (
+        "import sys\n"
+        "from repro.analysis.engine.driver import run_engine\n"
+        f"sys.exit(run_engine(root={str(ENGINEPKG)!r}, "
+        f"budget_path={str(budget)!r}, ledger_path={str(ENGINE_LEDGER)!r}))\n"
+    )
     return subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "repro.analysis",
-            "--engine",
-            "--root",
-            str(ENGINEPKG),
-            "--ledger",
-            str(ENGINE_LEDGER),
-            "--budget",
-            str(budget),
-        ],
+        [sys.executable, "-c", code],
         capture_output=True,
         env=env,
         cwd=str(REPO_ROOT),

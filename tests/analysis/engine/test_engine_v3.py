@@ -82,15 +82,6 @@ def test_json_report_writes_artifact_file(tmp_path):
     assert payload["exit_code"] == 1
 
 
-def test_github_format_emits_workflow_commands(tmp_path):
-    rc, text = _run(tmp_path, report_format="github")
-    assert rc == 1
-    error_lines = [l for l in text.splitlines() if l.startswith("::error ")]
-    assert error_lines
-    assert all(",line=" in l and ",col=" in l for l in error_lines)
-    assert any("title=typestate" in l for l in error_lines)
-
-
 def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
     outs = []
     for seed in ("0", "1"):
@@ -98,14 +89,16 @@ def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
         budget.write_text(GENEROUS_BUDGET)
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        code = (
+            "import sys\n"
+            "from repro.analysis.engine.driver import run_engine\n"
+            f"sys.exit(run_engine(root={str(CONCPKG)!r}, "
+            f"budget_path={str(budget)!r}, "
+            f"ledger_path={str(tmp_path / 'missing_ledger.json')!r}, "
+            "report_format='json'))\n"
+        )
         proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro.analysis", "--engine",
-                "--root", str(CONCPKG),
-                "--budget", str(budget),
-                "--ledger", str(tmp_path / "missing_ledger.json"),
-                "--format", "json",
-            ],
+            [sys.executable, "-c", code],
             capture_output=True, text=True, env=env, cwd=REPO_ROOT,
         )
         assert proc.returncode == 1

@@ -21,7 +21,7 @@ LEDGER = FIXTURES / "perfpkg_ledger.json"
 def diags():
     modules = [_parse(p, PERFPKG) for p in _iter_sources(PERFPKG)]
     engine = Engine.build(modules, ledger_path=LEDGER)
-    return engine.run_perflint()
+    return engine.check_missing_slots() + engine.check_hot_functions()
 
 
 def by_check(diags, check):

@@ -1,9 +1,9 @@
-"""set-iteration v2: dataflow origin resolution and its FP regressions.
+"""set-iteration: dataflow origin resolution and its FP regressions.
 
-The per-file check flagged any ``for x in name`` where ``name`` was
-*ever* bound to a set in the scope — including iterations whose result
-is consumed order-insensitively. These are the regression cases the
-engine version must get right.
+An earlier per-file check flagged any ``for x in name`` where ``name``
+was *ever* bound to a set in the scope — including iterations whose
+result is consumed order-insensitively. These are the regression cases
+the dataflow check, now the only one, must get right.
 """
 
 import ast
@@ -16,7 +16,7 @@ from repro.analysis.reprolint import ParsedModule
 def findings(source, rel_path="service/mod.py"):
     module = ParsedModule(Path("/fixture") / rel_path, rel_path, source)
     engine = Engine.build([module], ledger_path=None)
-    return engine.check_set_iteration_v2()
+    return engine.check_set_iteration()
 
 
 # -- true positives ----------------------------------------------------------

@@ -3,6 +3,8 @@
 from repro.errors import InternalError
 from repro.spanner.database import SpannerDatabase  # core -> spanner is sanctioned
 
+FROZEN = frozenset({"b", "a"})
+
 
 class _PrivateFailure(Exception):
     """Module-private exceptions never cross the boundary."""
@@ -27,3 +29,8 @@ def justified():
     import time  # reprolint: disable=banned-import -- fixture proving a justified pragma suppresses
 
     return time
+
+
+def ordered_sets():
+    # iterating a set is fine when the consumer cannot observe the order
+    return sorted(x for x in {1, 2, 3}), sorted(n.upper() for n in FROZEN)

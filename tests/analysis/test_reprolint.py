@@ -6,15 +6,22 @@ the path-sensitive checks (layering, determinism allowlist, start_span
 allowlist) exercise exactly the logic they apply to ``src/repro``.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.engine.driver import CHECKS
 from repro.analysis.reprolint import lint_tree, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD = FIXTURES / "badpkg"
 GOOD = FIXTURES / "goodpkg"
+CONCPKG = Path(__file__).parent / "engine" / "fixtures" / "concpkg"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +166,7 @@ def test_cli_exit_codes(capsys):
     assert main(["--root", str(BAD)]) == 1
     out = capsys.readouterr()
     assert "core/uses_wallclock.py" in out.out
-    assert "violation(s)" in out.err
+    assert "violation(s)" in out.out
     assert main(["--root", str(GOOD)]) == 0
     assert main(["--list-checks"]) == 0
     assert main(["--root", str(BAD), "--check", "no-such"]) == 2
@@ -170,9 +177,49 @@ def test_cli_single_check_filter():
     assert main(["--root", str(GOOD), "--check", "bare-except"]) == 0
 
 
-def test_cli_explicit_paths():
-    target = BAD / "core" / "bad_imports.py"
-    assert main(["--root", str(BAD), str(target)]) == 1
+def test_cli_check_accepts_engine_ids(capsys):
+    assert main(["--root", str(CONCPKG), "--check", "lock-discipline"]) == 1
+    findings = [
+        line
+        for line in capsys.readouterr().out.splitlines()
+        if line.partition(":")[2][:1].isdigit()  # path:line:col: ...
+    ]
+    assert findings
+    assert all(": lock-discipline: " in line for line in findings)
+
+
+def test_list_checks_prints_every_table_id(capsys):
+    assert main(["--list-checks"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == sorted(CHECKS)
+    assert "lock-discipline" in listed and "set-iteration" in listed
+
+
+def _cli_json(cwd, *args):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.analysis", "--format", "json", *args],
+        stdout=subprocess.PIPE,
+        env=env,
+        cwd=cwd,
+    )
+
+
+def test_verdict_does_not_depend_on_the_cwd(tmp_path, monkeypatch, capsys):
+    # the committed ledger and budget resolve from the package, not the
+    # cwd, and apply to the package alone
+    away = _cli_json(tmp_path)
+    fixture = _cli_json(REPO_ROOT, "--root", str(GOOD))
+    monkeypatch.chdir(REPO_ROOT)
+    main(["--format", "json"])
+    home = json.loads(capsys.readouterr().out)
+    away, fixture = (json.loads(p.communicate()[0]) for p in (away, fixture))
+    assert away == home
+    assert away["hot"] > 0
+    assert away["budget"]
+    assert fixture["budget"] == []
+    assert fixture["hot"] == 0
+    assert fixture["exit_code"] == 0
 
 
 def test_self_clean():
