@@ -1,4 +1,4 @@
-"""repro.check — transactional history checker + schedule explorer.
+"""repro.check — transactional history checker + schedule perturbers.
 
 The paper's core claims are *consistency guarantees*: serializable
 transactions (section IV-D1), externally consistent TrueTime commit
@@ -13,18 +13,22 @@ executions, Elle-style, instead of trusting the implementation:
   versions they observed), writes, commit timestamps with their TrueTime
   windows, and notification deliveries.
 - :mod:`repro.check.graph` / :mod:`repro.check.checker` — an offline
-  **checker** (``python -m repro.check``) that builds the wr/ww/rw
-  dependency graph over the recorded transactions, detects
-  serializability cycles, and verifies external consistency, snapshot
-  reads, index/document atomicity, and notification order/completeness.
-- :mod:`repro.check.explorer` — a **schedule explorer** that reruns a
-  scenario across seed sweeps and biased event-queue perturbations
-  (``repro.sim.events`` priorities + seeded unknown-outcome commits),
-  shrinking any violating run to a minimal ``(seed, perturbation, ops)``
-  reproducer.
+  **checker** that builds the wr/ww/rw dependency graph over the
+  recorded transactions, detects serializability cycles, and verifies
+  external consistency, snapshot reads, index/document atomicity, and
+  notification order/completeness. :func:`repro.check.history.record_and_check`
+  runs a scenario under recording and checks every history it left;
+  ``python -m repro.check --check-log FILE`` judges a saved log.
+- :mod:`repro.check.explorer` — the **schedule perturbers** (biased
+  event-queue reorderings through ``repro.sim.events`` priorities) the
+  explorer, ``python -m repro.faults --explore``, sweeps.
 - :mod:`repro.check.anomalies` — deliberately broken toy stores (lost
   update, write skew, stale notification, non-monotonic commit
   timestamps) proving the checker can actually fail.
+
+The scenarios these judge, and the runner, sweep and shrinker over
+them, live in one table in :mod:`repro.faults.chaos` (``repro.faults``
+may import this package; this package never imports it).
 
 Violations surface through :class:`repro.errors.CheckerViolation`, the
 same :class:`repro.errors.VerificationError` family the dynamic

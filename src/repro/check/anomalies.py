@@ -20,10 +20,12 @@ checker exists to catch:
   commit timestamps regress in real-time order
   (:class:`repro.check.checker.NonMonotonicCommit`).
 
-All randomness is a deterministic function of the seed (mode biases the
-distributions), so the schedule explorer's sweep finds violating seeds
-and shrinks them to minimal ``(seed, mode, ops)`` reproducers just as it
-would for a real bug.
+Each takes the scenario table's builder signature ``(plan, seed, ops,
+run)`` (:mod:`repro.faults.chaos`) and ignores the fault plan. All
+randomness is a deterministic function of the seed (``run.mode`` biases
+the distributions), so the schedule explorer's sweep finds violating
+seeds and shrinks them to minimal reproducers just as it would for a
+real bug.
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ def _overlap_bias(mode: str) -> int:
     return 2 if mode == "delay" else 1
 
 
-def lost_update(seed: int, mode: str, ops: int) -> None:
+def lost_update(plan, seed: int, ops: int, run) -> None:
     """Unlocked read-modify-write transactions over one counter key."""
     rand = SimRandom(seed).fork("anomaly-lost-update")
     recorder = _recorder("anomaly-lost-update")
     key = b"counter"
-    hold = 1_600 * _overlap_bias(mode)
+    hold = 1_600 * _overlap_bias(run.mode)
     schedule: list[tuple[int, str, int]] = []  # (time, action, txn)
     for txn_id in range(1, ops + 1):
         read_at = txn_id * 1_000 + rand.randint(0, 800)
@@ -73,12 +75,12 @@ def lost_update(seed: int, mode: str, ops: int) -> None:
             committed_ts = last_ts
 
 
-def write_skew(seed: int, mode: str, ops: int) -> None:
+def write_skew(plan, seed: int, ops: int, run) -> None:
     """Transactions read both keys but only lock-and-write their own."""
     rand = SimRandom(seed).fork("anomaly-write-skew")
     recorder = _recorder("anomaly-write-skew")
     keys = (b"on-call-a", b"on-call-b")
-    hold = 1_600 * _overlap_bias(mode)
+    hold = 1_600 * _overlap_bias(run.mode)
     schedule: list[tuple[int, str, int]] = []
     for txn_id in range(1, ops + 1):
         read_at = txn_id * 1_000 + rand.randint(0, 800)
@@ -109,12 +111,12 @@ def write_skew(seed: int, mode: str, ops: int) -> None:
             latest[written] = last_ts
 
 
-def stale_notification(seed: int, mode: str, ops: int) -> None:
+def stale_notification(plan, seed: int, ops: int, run) -> None:
     """A Changelog that loses/reorders changes yet advances anyway."""
     rand = SimRandom(seed).fork("anomaly-stale-notification")
     recorder = _recorder("anomaly-stale-notification")
     range_id = 1
-    swap_bias = 0.4 if mode == "flip" else 0.2
+    swap_bias = 0.4 if run.mode == "flip" else 0.2
     accepted: list[tuple[int, str]] = []
     for op in range(ops):
         ts = (op + 1) * 1_000
@@ -138,11 +140,11 @@ def stale_notification(seed: int, mode: str, ops: int) -> None:
     recorder.changelog_watermark(range_id, accepted[-1][0] + 100)
 
 
-def non_monotonic_ts(seed: int, mode: str, ops: int) -> None:
+def non_monotonic_ts(plan, seed: int, ops: int, run) -> None:
     """Two commit nodes trusting their own skewed clocks, no TrueTime."""
     rand = SimRandom(seed).fork("anomaly-non-monotonic-ts")
     recorder = _recorder("anomaly-non-monotonic-ts")
-    skews = (0, rand.randint(-3_000, 3_000) * _overlap_bias(mode))
+    skews = (0, rand.randint(-3_000, 3_000) * _overlap_bias(run.mode))
     now = 10_000
     for txn_id in range(1, ops + 1):
         now += rand.randint(200, 1_200)

@@ -1,18 +1,14 @@
-"""The deterministic schedule explorer.
+"""Schedule perturbers for the deterministic schedule explorer.
 
-Reruns a scenario (:mod:`repro.check.scenarios`) across a seed sweep and
-a set of *perturbation modes* — targeted, biased reorderings of the
-event queue via the :class:`repro.sim.events.SchedulePerturber` hook —
-checking every recorded history. Because every source of nondeterminism
-is seeded, a violating ``(scenario, seed, mode, ops)`` tuple is a
-perfect reproducer: rerunning it replays the exact same schedule and the
-exact same violation.
-
-When a violation is found the explorer *shrinks* it: it halves the
-scenario's operation count while the violation persists, and tries
-dropping the perturbation, producing the minimal reproducer it can find
-(Elle/QuickCheck style). The result carries a ready-to-paste
-``python -m repro.check`` command line.
+A scenario that runs on a :class:`repro.sim.events.EventKernel` hands
+the kernel the perturber for its run's *mode* — a targeted, biased
+reordering of the event queue via the
+:class:`repro.sim.events.SchedulePerturber` hook. Because every source
+of nondeterminism is seeded, a violating ``(scenario, seed, mix, mode,
+ops)`` tuple is a perfect reproducer. The explorer itself is
+``python -m repro.faults --explore``: it sweeps seeds × modes over the
+scenario table (:mod:`repro.faults.chaos`) and shrinks every violating
+run (:func:`repro.faults.chaos.shrink`).
 
 Perturbation modes:
 
@@ -29,9 +25,6 @@ Perturbation modes:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 from repro.sim.rand import SimRandom
 
@@ -89,100 +82,3 @@ def make_perturber(mode: str, seed: int):
     if mode == "flip":
         return FlipPerturber(seed)
     raise ValueError(f"unknown perturbation mode {mode!r}; pick from {MODES}")
-
-
-@dataclass(frozen=True)
-class Reproducer:
-    """A minimal violating run: rerun it to replay the violation."""
-
-    scenario: str
-    seed: int
-    mode: str
-    ops: int
-    #: check ids of the violations the run produced
-    violations: tuple[str, ...]
-
-    def command(self) -> str:
-        """The ready-to-paste rerun command."""
-        return (
-            f"python -m repro.check --scenario {self.scenario} "
-            f"--seed {self.seed} --mode {self.mode} --ops {self.ops}"
-        )
-
-
-@dataclass
-class ExplorationReport:
-    """What a sweep found."""
-
-    scenario: str
-    runs: int = 0
-    clean: int = 0
-    reproducers: list[Reproducer] = field(default_factory=list)
-
-    @property
-    def found_violation(self) -> bool:
-        """Whether any (seed, mode) produced a violation."""
-        return bool(self.reproducers)
-
-
-def _violation_checks(result) -> tuple[str, ...]:
-    return tuple(violation.check for violation in result.violations)
-
-
-def shrink(scenario: str, seed: int, mode: str, ops: int) -> Reproducer:
-    """Minimize a violating run: halve ops, then try dropping the mode.
-
-    Every candidate rerun is itself deterministic, so the returned
-    reproducer is guaranteed to still violate.
-    """
-    from repro.check.scenarios import run_scenario
-
-    best = run_scenario(scenario, seed, mode, ops)
-    assert best.violations, "shrink() requires a violating run"
-    best_ops, best_mode = ops, mode
-    # halve the operation count while the violation persists
-    candidate_ops = ops // 2
-    while candidate_ops >= 1:
-        result = run_scenario(scenario, seed, mode, candidate_ops)
-        if not result.violations:
-            break
-        best, best_ops = result, candidate_ops
-        candidate_ops //= 2
-    # a reproducer that needs no perturbation is simpler still
-    if best_mode != "none":
-        result = run_scenario(scenario, seed, "none", best_ops)
-        if result.violations:
-            best, best_mode = result, "none"
-    return Reproducer(
-        scenario, seed, best_mode, best_ops, _violation_checks(best)
-    )
-
-
-def explore(
-    scenario: str,
-    seeds: Sequence[int],
-    modes: Sequence[str] = MODES,
-    ops: Optional[int] = None,
-    stop_at: Optional[int] = None,
-) -> ExplorationReport:
-    """Sweep (seed, mode) pairs, shrinking every violating run found.
-
-    ``stop_at`` caps how many reproducers to collect before returning
-    early (None = sweep everything).
-    """
-    from repro.check.scenarios import run_scenario, default_ops
-
-    if ops is None:
-        ops = default_ops(scenario)
-    report = ExplorationReport(scenario)
-    for mode in modes:
-        for seed in seeds:
-            result = run_scenario(scenario, seed, mode, ops)
-            report.runs += 1
-            if result.violations:
-                report.reproducers.append(shrink(scenario, seed, mode, ops))
-                if stop_at is not None and len(report.reproducers) >= stop_at:
-                    return report
-            else:
-                report.clean += 1
-    return report

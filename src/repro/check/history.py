@@ -374,7 +374,7 @@ class recording:
     ::
 
         with recording() as recorders:
-            run_scenario()
+            drive_the_system()
         for recorder in recorders:
             assert_clean(check_history(recorder.events))
     """
@@ -391,3 +391,19 @@ class recording:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.recorders.extend(drain_recorders())
         set_enabled(self._previous)
+
+
+def record_and_check(run, builder: Callable[..., None], *args) -> None:
+    """Run ``builder(*args)`` with history recording forced on, then
+    append every non-empty recorded history, and the checker's
+    violations over it, to ``run.histories`` / ``run.violations``."""
+    from repro.check.checker import check_history
+
+    with recording() as recorders:
+        builder(*args)
+    for recorder in recorders:
+        history = list(recorder.events)
+        if not history:
+            continue
+        run.histories.append(history)
+        run.violations.extend(check_history(history))

@@ -38,9 +38,6 @@ class LocalCache:
 
     def __init__(self) -> None:
         self._docs: dict[Path, CachedDocument] = {}
-        #: collections for which the cache has seen a complete listen
-        #: result (queries over them can be answered authoritatively)
-        self._synced_queries: set[str] = set()
 
     def __len__(self) -> int:
         return sum(1 for doc in self._docs.values() if doc.exists)
@@ -59,14 +56,6 @@ class LocalCache:
     def remove(self, path: Path) -> None:
         """Forget a document entirely."""
         self._docs.pop(path, None)
-
-    def mark_query_synced(self, query_key: str) -> None:
-        """Record that a listen covered this query completely."""
-        self._synced_queries.add(query_key)
-
-    def is_query_synced(self, query_key: str) -> bool:
-        """Whether a listen has covered this query completely."""
-        return query_key in self._synced_queries
 
     def run_query(self, normalized: NormalizedQuery) -> list[CachedDocument]:
         """Answer a query from cached documents, in query order."""
@@ -90,6 +79,5 @@ class LocalCache:
         return list(self._docs.values())
 
     def clear(self) -> None:
-        """Drop all cached documents and sync marks."""
+        """Drop all cached documents."""
         self._docs.clear()
-        self._synced_queries.clear()

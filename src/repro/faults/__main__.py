@@ -1,15 +1,22 @@
-"""``python -m repro.faults`` — the chaos sweep.
+"""``python -m repro.faults`` — run, sweep, replay and explore scenarios.
 
-Runs the chaos scenario matrix (scenarios × fault mixes × seeds) with
-history recording and checking on, then writes the availability /
-tail-latency / injected-fault summary to ``BENCH_faults.json``.
+One command over the one scenario table (:data:`repro.faults.chaos.SCENARIOS`):
+every run of the scenarios × fault mixes × perturbation modes × seeds
+matrix is recorded and history-checked, and the availability /
+tail-latency / injected-fault summary goes to ``BENCH_faults.json``.
 
 ::
 
     python -m repro.faults                          # default sweep
     python -m repro.faults --seeds 20 --mixes storage,network,chaos
+    python -m repro.faults --scenarios ycsb --mixes none --seed-base 42 --seeds 1 --ops 50
     python -m repro.faults --scenarios commit --seeds 5 --replay
+    python -m repro.faults --explore --scenarios isolation --mixes none \
+        --modes none,delay,flip --seeds 20 --out -
     python -m repro.faults --artifacts out/chaos    # dump failing runs
+
+``--explore`` shrinks every violating run to a minimal reproducer (halve
+the ops, then drop the mode) and prints its rerun command.
 
 Exit status: 0 = every run clean (no checker violations, exact
 accounting, converged recovery, byte-identical replay if requested),
@@ -23,7 +30,8 @@ import json
 import os
 import sys
 
-from repro.faults.chaos import CHAOS_SCENARIOS, ChaosRun, replay_digest, sweep
+from repro.check.explorer import MODES
+from repro.faults.chaos import SCENARIOS, ChaosRun, replay_digest, shrink, sweep
 from repro.faults.plan import FAULT_MIXES
 from repro.obs.export import history_jsonl
 
@@ -37,7 +45,7 @@ def _write_artifacts(directory: str, failed: list[ChaosRun]) -> None:
     """One fault-plan JSON + one history JSONL per failing run."""
     os.makedirs(directory, exist_ok=True)
     for run in failed:
-        stem = f"{run.scenario}-{run.mix}-seed{run.seed}"
+        stem = f"{run.cell.replace('/', '-')}-seed{run.seed}"
         plan_path = os.path.join(directory, f"{stem}.faultplan.json")
         with open(plan_path, "w", encoding="utf-8") as handle:
             json.dump(
@@ -57,22 +65,36 @@ def _write_artifacts(directory: str, failed: list[ChaosRun]) -> None:
             handle.write(history_jsonl(run.histories))
 
 
+def _names(spec: str) -> list[str]:
+    return [name.strip() for name in spec.split(",") if name.strip()]
+
+
 def main(argv=None) -> int:
+    #: the real-system entries; the anomaly-* stores must violate
+    real = ",".join(
+        sorted(name for name in SCENARIOS if not name.startswith("anomaly-"))
+    )
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults",
-        description="chaos sweep: scenarios x fault mixes x seeds, "
-        "history-checked, with availability/latency summaries",
+        description="run, sweep, replay and explore checked scenarios: "
+        "scenarios x fault mixes x modes x seeds, with "
+        "availability/latency summaries",
     )
     parser.add_argument(
         "--scenarios",
-        default=",".join(sorted(CHAOS_SCENARIOS)),
-        help="comma-separated chaos scenarios "
-        f"(default: {','.join(sorted(CHAOS_SCENARIOS))})",
+        default=real,
+        help=f"comma-separated scenarios (default: {real})",
     )
     parser.add_argument(
         "--mixes",
         default="storage,network,chaos",
         help="comma-separated fault mixes (default: storage,network,chaos)",
+    )
+    parser.add_argument(
+        "--modes",
+        default="none",
+        help="comma-separated schedule perturbation modes "
+        f"{'/'.join(MODES)} (default: none)",
     )
     parser.add_argument(
         "--seeds", type=int, default=20, help="seeds per cell (default: 20)"
@@ -98,33 +120,36 @@ def main(argv=None) -> int:
         "--replay",
         action="store_true",
         help="also assert same-seed runs are byte-identical, one replay "
-        "per scenario x mix",
+        "per scenario x mix x mode",
+    )
+    parser.add_argument(
+        "--explore",
+        action="store_true",
+        help="shrink every violating run to a minimal reproducer",
     )
     args = parser.parse_args(argv)
 
-    scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    mixes = [m.strip() for m in args.mixes.split(",") if m.strip()]
-    for scenario in scenarios:
-        if scenario not in CHAOS_SCENARIOS:
-            print(
-                f"unknown scenario {scenario!r}; "
-                f"pick from {sorted(CHAOS_SCENARIOS)}",
-                file=sys.stderr,
-            )
-            return 2
-    for mix in mixes:
-        if mix not in FAULT_MIXES:
-            print(
-                f"unknown mix {mix!r}; pick from {sorted(FAULT_MIXES)}",
-                file=sys.stderr,
-            )
-            return 2
+    scenarios = _names(args.scenarios)
+    mixes = _names(args.mixes)
+    modes = _names(args.modes)
+    for kind, names, known in (
+        ("scenario", scenarios, SCENARIOS),
+        ("mix", mixes, FAULT_MIXES),
+        ("mode", modes, MODES),
+    ):
+        for name in names:
+            if name not in known:
+                print(
+                    f"unknown {kind} {name!r}; pick from {sorted(known)}",
+                    file=sys.stderr,
+                )
+                return 2
     if args.seeds < 1:
         print("--seeds must be at least 1", file=sys.stderr)
         return 2
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
 
-    runs, summary = sweep(scenarios, seeds, mixes, args.ops)
+    runs, summary = sweep(scenarios, seeds, mixes, args.ops, tuple(modes))
     for key, cell in summary["cells"].items():
         print(
             f"{key}: availability={cell['availability']:.4f} "
@@ -146,10 +171,15 @@ def main(argv=None) -> int:
             why.append("exactly-once accounting broken")
         if not run.converged:
             why.append("recovery did not converge")
-        print(
-            f"FAILED {run.scenario}/{run.mix} seed={run.seed}: "
-            + "; ".join(why)
-        )
+        print(f"FAILED {run.cell} seed={run.seed}: " + "; ".join(why))
+        for violation in run.violations:
+            print(f"  {violation}")
+    if args.explore:
+        for run in failed:
+            if run.violations:
+                reproducer = shrink(run)
+                checks = ", ".join(sorted(set(reproducer.violations)))
+                print(f"reproducer {checks}: {reproducer.command()}")
     if args.artifacts and failed:
         _write_artifacts(args.artifacts, failed)
         print(f"artifacts for {len(failed)} failing run(s): {args.artifacts}")
@@ -158,22 +188,20 @@ def main(argv=None) -> int:
     if args.replay:
         from repro.errors import SanitizerViolation
 
-        for scenario in scenarios:
-            for mix in mixes:
-                try:
-                    replay_digest(scenario, seeds[0], mix, args.ops)
-                except SanitizerViolation as exc:
-                    replay_failures += 1
-                    print(
-                        f"REPLAY DIVERGED {scenario}/{mix} "
-                        f"seed={seeds[0]}: {exc}",
-                        file=sys.stderr,
-                    )
+        cells = {run.cell: run for run in runs}
+        for cell, run in cells.items():
+            try:
+                replay_digest(
+                    run.scenario, seeds[0], run.mix, args.ops, mode=run.mode
+                )
+            except SanitizerViolation as exc:
+                replay_failures += 1
+                print(
+                    f"REPLAY DIVERGED {cell} seed={seeds[0]}: {exc}",
+                    file=sys.stderr,
+                )
         if not replay_failures:
-            print(
-                f"replay: {len(scenarios) * len(mixes)} scenario x mix "
-                "cell(s) byte-identical"
-            )
+            print(f"replay: {len(cells)} cell(s) byte-identical")
 
     out = args.out if args.out is not None else _default_out()
     if out != "-":

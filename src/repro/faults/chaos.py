@@ -29,10 +29,20 @@ in around the commit: ``before(op)`` runs after the first clock advance
 ``after()`` right after the commit (failover's catch-up and lag sample).
 The overload scenarios share one storm driver, :func:`_storm_chaos`.
 
+:data:`SCENARIOS` is the one scenario table: these seven, plus the
+``isolation`` transfer workload and the four ``anomaly-*`` toy stores
+(:mod:`repro.check.anomalies`) the checker must flag. Every entry is
+built ``(plan, seed, ops, run)`` and run by :func:`run_chaos` into one
+:class:`ChaosRun`; ``run.mode`` carries the explorer's schedule
+perturbation (``none``, ``delay``, ``flip``), which ``ycsb``,
+``isolation`` and the ``anomaly-*`` stores consult and the rest ignore.
+
 The sweep (:func:`sweep`, ``python -m repro.faults``) runs the scenario
 matrix and emits an availability / tail-latency / injected-fault summary
-suitable for ``BENCH_faults.json``. Same seed + same mix is byte-identical
-(:func:`replay_digest` asserts it via the replay harness).
+suitable for ``BENCH_faults.json``; :func:`shrink` cuts a violating run
+down to a minimal :class:`Reproducer`. Same seed + same mix + same mode
+is byte-identical (:func:`replay_digest` asserts it via the replay
+harness).
 """
 
 from __future__ import annotations
@@ -40,8 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
+from repro.check import anomalies
 from repro.check.checker import Violation
-from repro.check.scenarios import lookup, record_and_check
+from repro.check.history import record_and_check
 from repro.faults.plan import FAULT_MIXES, FaultPlan, install, plan_for_mix
 from repro.faults.retry import RetryBudget, commit_with_retry, retry_stream
 from repro.obs.slo import OVERLOAD_SLOS, SloEngine, SloSpec
@@ -63,6 +74,8 @@ class ChaosRun:
     seed: int
     mix: str
     ops: int
+    #: the explorer's schedule perturbation (``repro.check.explorer``)
+    mode: str = "none"
     attempted: int = 0
     succeeded: int = 0
     failed: int = 0
@@ -93,6 +106,12 @@ class ChaosRun:
     def ok(self) -> bool:
         """Clean history, exact accounting, converged recovery."""
         return not self.violations and self.exactly_once and self.converged
+
+    @property
+    def cell(self) -> str:
+        """``scenario/mix``, plus ``/mode`` for a perturbed schedule."""
+        cell = f"{self.scenario}/{self.mix}"
+        return cell if self.mode == "none" else f"{cell}/{self.mode}"
 
     def latency_percentile(self, p: float) -> int:
         """The p-th percentile of successful-op latency (0 if none)."""
@@ -150,8 +169,9 @@ class ChaosRun:
         return engine.verdict_block(window_us)
 
     def to_dict(self) -> dict:
-        """JSON-serializable summary (stable key order for replay)."""
-        return {
+        """JSON-serializable summary (stable key order for replay); the
+        ``mode`` key appears only for a perturbed schedule."""
+        summary = {
             "scenario": self.scenario,
             "seed": self.seed,
             "mix": self.mix,
@@ -170,6 +190,9 @@ class ChaosRun:
             "extra": dict(sorted(self.extra.items())),
             "slo": self.slo_verdicts(),
         }
+        if self.mode != "none":
+            summary["mode"] = self.mode
+        return summary
 
 
 # -- shared verification helpers ---------------------------------------------
@@ -236,6 +259,16 @@ def _attach_critpath(run: ChaosRun, tracer) -> None:
     from repro.obs.sampling import TailSampler
 
     run.extra["critpath"] = analyze(tracer, sampler=TailSampler())
+
+
+def _perturber(mode: str, seed: int):
+    """The explorer's schedule perturber for ``mode``, or None for
+    ``none`` (which never imports the explorer)."""
+    if mode == "none":
+        return None
+    from repro.check.explorer import make_perturber
+
+    return make_perturber(mode, seed)
 
 
 def _drain(database, rand: SimRandom, pumps: int = 16) -> None:
@@ -431,6 +464,7 @@ def _ycsb_chaos(plan: FaultPlan, seed: int, ops: int, run: ChaosRun) -> None:
         trace=True,
     )
     runner = YcsbRunner(config)
+    runner.cluster.kernel.perturber = _perturber(run.mode, seed)
     runner.cluster.fault_plan = plan
     plan.metrics = runner.metrics
     plan.tracer = runner.tracer
@@ -1131,8 +1165,135 @@ def metastable_run(seed: int, resilient: bool = True) -> dict:
     )
 
 
-#: scenario name -> (builder, default ops)
-CHAOS_SCENARIOS: dict[
+# -- checker scenarios: isolation and the seeded anomalies -------------------
+
+
+class _UnknownOutcomeSlot:
+    """The isolation scenario's fault plan: one unknown-outcome slot.
+
+    Duck-types the ``decide`` hook of ``repro.faults.FaultPlan`` (no
+    fault mix expresses it). The slot is not a queue: arming it again
+    before the next commit fires overwrites the fault.
+    """
+
+    __slots__ = ("applied",)
+
+    def __init__(self):
+        self.applied: Optional[bool] = None
+
+    def decide(self, site: str) -> Optional[dict]:
+        if site != "spanner.commit_unknown" or self.applied is None:
+            return None
+        detail, self.applied = {"applied": self.applied}, None
+        return detail
+
+
+def _isolation_chaos(plan: FaultPlan, seed: int, ops: int, run: ChaosRun) -> None:
+    """A transactional analogue of the paper's Fig. 11 isolation setup.
+
+    A *culprit* issues contended two-step read-modify-write transfers and
+    *bystanders* blind-write the same documents, over an
+    :class:`repro.sim.events.EventKernel` whose schedule ``run.mode``
+    perturbs, with seeded unknown-outcome commits pushing the Changelog
+    through its out-of-sync fail-safe. (The original Fig. 11 workload is
+    a pure queueing simulation with no functional transactions, so this
+    recreates its contention shape on the functional stack.) The mix is
+    ignored: the one fault source is the :class:`_UnknownOutcomeSlot`.
+    """
+    from repro.core.backend import set_op
+    from repro.core.firestore import FirestoreService
+    from repro.core.transaction import TransactionContext
+    from repro.errors import FirestoreError
+    from repro.sim.events import EventKernel
+
+    kernel = EventKernel(perturber=_perturber(run.mode, seed))
+    service = FirestoreService(
+        multi_region=False, clock=kernel.clock
+    )
+    database = service.create_database("iso")
+    faults = _UnknownOutcomeSlot()
+    database.layout.spanner.fault_plan = faults
+    rand = SimRandom(seed).fork("isolation-scenario")
+    accounts = 3
+    for account in range(accounts):
+        database.commit(
+            [set_op(f"accounts/a{account}", {"balance": 100})]
+        )
+    deltas: list = []
+    connection = database.connect()
+    connection.listen(database.query("accounts"), deltas.append)
+
+    horizon_us = kernel.now_us + max(1, ops) * 8_000 + 50_000
+
+    def pump() -> None:
+        database.pump_realtime()
+
+    for tick in range(kernel.now_us + 3_000, horizon_us, 3_000):
+        kernel.at(tick, pump, label="pump")
+
+    def start_transfer(op: int) -> None:
+        src = rand.randint(0, accounts - 1)
+        dst = (src + 1 + rand.randint(0, accounts - 2)) % accounts
+        ctx = TransactionContext(database.backend)
+        try:
+            source = ctx.get(f"accounts/a{src}")
+            target = ctx.get(f"accounts/a{dst}")
+        except FirestoreError:
+            return
+        amount = rand.randint(1, 10)
+
+        def finish() -> None:
+            if not ctx._txn.is_active:
+                return
+            ctx.set(
+                f"accounts/a{src}",
+                {"balance": (source.data or {}).get("balance", 0) - amount},
+            )
+            ctx.set(
+                f"accounts/a{dst}",
+                {"balance": (target.data or {}).get("balance", 0) + amount},
+            )
+            if rand.bernoulli(0.15):
+                # an unknown-outcome commit (this one, or whichever
+                # commits next) drives the Changelog out-of-sync fail-safe
+                faults.applied = rand.bernoulli(0.5)
+            try:
+                ctx._commit()
+            except FirestoreError:
+                ctx._rollback()
+
+        kernel.after(rand.randint(200, 4_000), finish, label="txn-finish")
+
+    def bystander(op: int) -> None:
+        account = rand.randint(0, accounts - 1)
+        try:
+            database.commit(
+                [set_op(f"accounts/a{account}", {"balance": 100 + op})]
+            )
+        except FirestoreError:
+            pass
+
+    base = kernel.now_us
+    for op in range(ops):
+        at_us = base + op * 6_000 + rand.randint(0, 4_000)
+        kernel.at(at_us, lambda op=op: start_transfer(op), label="txn-start")
+        kernel.at(
+            at_us + rand.randint(500, 5_000),
+            lambda op=op: bystander(op),
+            label="commit-bystander",
+        )
+    kernel.run_until(horizon_us)
+    kernel.drain()
+    database.pump_realtime()
+    connection.close()
+
+
+#: the one scenario table: name -> (builder, default ops). Every builder
+#: takes ``(plan, seed, ops, run)``. The first seven drive the system
+#: under the mix's FaultPlan; ``isolation`` and the ``anomaly-*`` toy
+#: stores (which must violate) ignore the mix. Only ``ycsb``,
+#: ``isolation`` and the anomalies consult ``run.mode``.
+SCENARIOS: dict[
     str, tuple[Callable[[FaultPlan, int, int, ChaosRun], None], int]
 ] = {
     "commit": (_commit_chaos, 12),
@@ -1142,12 +1303,27 @@ CHAOS_SCENARIOS: dict[
     "overload-storm": (_overload_storm_chaos, 8),
     "retry-storm": (_retry_storm_chaos, 8),
     "metastable": (_metastable_chaos, 8),
+    "isolation": (_isolation_chaos, 12),
+    "anomaly-lost-update": (anomalies.lost_update, 6),
+    "anomaly-write-skew": (anomalies.write_skew, 6),
+    "anomaly-stale-notification": (anomalies.stale_notification, 6),
+    "anomaly-non-monotonic-ts": (anomalies.non_monotonic_ts, 8),
 }
+
+
+def _entry(scenario: str) -> tuple:
+    """``SCENARIOS[scenario]``, or a ValueError naming the choices."""
+    entry = SCENARIOS.get(scenario)
+    if entry is None:
+        raise ValueError(
+            f"unknown scenario {scenario!r}; pick from {sorted(SCENARIOS)}"
+        )
+    return entry
 
 
 def default_ops(scenario: str) -> int:
     """The scenario's default operation count."""
-    return lookup(CHAOS_SCENARIOS, scenario, "chaos scenario")[1]
+    return _entry(scenario)[1]
 
 
 def run_chaos(
@@ -1158,23 +1334,26 @@ def run_chaos(
     metrics=None,
     tracer=None,
     trace: bool = False,
+    *,
+    mode: str = "none",
 ) -> ChaosRun:
-    """One chaos run: recorded, checked, accounted.
+    """One scenario run: recorded, checked, accounted.
 
-    With ``trace=True``, scenarios that support critical-path
-    attribution (``failover``, ``overload-storm``) build a clock-bound
-    tracer, annotate every blocking interval with its wait cause, and
-    attach the :mod:`repro.obs.critpath` summary to
+    ``mode`` is the explorer's schedule perturbation (see
+    :data:`SCENARIOS` for who consults it). With ``trace=True``, scenarios that support
+    critical-path attribution (``failover``, ``overload-storm``) build a
+    clock-bound tracer, annotate every blocking interval with its wait
+    cause, and attach the :mod:`repro.obs.critpath` summary to
     ``run.extra["critpath"]``. Tracing is pure observation: it never
     advances the clock or consumes workload randomness, so traced and
     untraced runs see identical histories.
     """
-    builder, dflt = lookup(CHAOS_SCENARIOS, scenario, "chaos scenario")
+    builder, dflt = _entry(scenario)
     if ops is None:
         ops = dflt
     plan = plan_for_mix(seed, mix, metrics=metrics, tracer=tracer)
     plan.trace_requested = trace
-    run = ChaosRun(scenario=scenario, seed=seed, mix=mix, ops=ops)
+    run = ChaosRun(scenario=scenario, seed=seed, mix=mix, ops=ops, mode=mode)
     record_and_check(run, builder, plan, seed, ops, run)
     run.injected = dict(sorted(plan.injected.items()))
     run.fault_log = list(plan.log)
@@ -1189,12 +1368,15 @@ def sweep(
     seeds: list[int],
     mixes: list[str],
     ops: Optional[int] = None,
+    modes: tuple[str, ...] = ("none",),
 ) -> tuple[list[ChaosRun], dict]:
-    """Run the scenarios × mixes × seeds matrix; returns (runs, summary).
+    """Run the scenarios × mixes × modes × seeds matrix; returns
+    (runs, summary).
 
     The summary is the ``BENCH_faults.json`` payload: per-cell
-    availability and tail latency, injected-fault counts by site, and
-    the three verification verdicts aggregated over the whole sweep.
+    (:attr:`ChaosRun.cell`) availability and tail latency, injected-fault
+    counts by site, and the three verification verdicts aggregated over
+    the whole sweep.
     """
     for mix in mixes:
         if mix not in FAULT_MIXES:
@@ -1204,13 +1386,14 @@ def sweep(
     runs: list[ChaosRun] = []
     for scenario in scenarios:
         for mix in mixes:
-            for seed in seeds:
-                runs.append(run_chaos(scenario, seed, mix, ops))
+            for mode in modes:
+                for seed in seeds:
+                    runs.append(run_chaos(scenario, seed, mix, ops, mode=mode))
     cells: dict[str, dict] = {}
     injected_by_site: dict[str, int] = {}
     for run in runs:
         cell = cells.setdefault(
-            f"{run.scenario}/{run.mix}",
+            run.cell,
             {
                 "runs": 0,
                 "attempted": 0,
@@ -1271,10 +1454,71 @@ def sweep_slo_verdicts(runs: list[ChaosRun], window_us: int = 60_000_000) -> dic
     return merged.slo_verdicts(window_us)
 
 
+@dataclass(frozen=True)
+class Reproducer:
+    """A minimal violating run: rerun it to replay the violation."""
+
+    scenario: str
+    seed: int
+    mix: str
+    mode: str
+    ops: int
+    #: check ids of the violations the run produced
+    violations: tuple[str, ...]
+
+    def command(self) -> str:
+        """The ready-to-paste rerun command."""
+        return (
+            f"python -m repro.faults --scenarios {self.scenario} "
+            f"--mixes {self.mix} --modes {self.mode} "
+            f"--seed-base {self.seed} --seeds 1 --ops {self.ops}"
+        )
+
+
+def shrink(run: ChaosRun) -> Reproducer:
+    """Minimize a violating run: halve ops, then try dropping the mode.
+
+    The mix is kept. Every candidate rerun is itself deterministic, so
+    the returned reproducer is guaranteed to still violate.
+    """
+    assert run.violations, "shrink() requires a violating run"
+
+    def rerun(mode: str, ops: int) -> ChaosRun:
+        return run_chaos(run.scenario, run.seed, run.mix, ops, mode=mode)
+
+    best = run
+    # halve the operation count while the violation persists
+    candidate_ops = run.ops // 2
+    while candidate_ops >= 1:
+        result = rerun(run.mode, candidate_ops)
+        if not result.violations:
+            break
+        best = result
+        candidate_ops //= 2
+    # a reproducer that needs no perturbation is simpler still
+    if best.mode != "none":
+        result = rerun("none", best.ops)
+        if result.violations:
+            best = result
+    return Reproducer(
+        best.scenario,
+        best.seed,
+        best.mix,
+        best.mode,
+        best.ops,
+        tuple(violation.check for violation in best.violations),
+    )
+
+
 def replay_digest(
-    scenario: str, seed: int, mix: str, ops: Optional[int] = None
+    scenario: str,
+    seed: int,
+    mix: str,
+    ops: Optional[int] = None,
+    *,
+    mode: str = "none",
 ):
-    """Assert a chaos run is byte-identical on replay (same seed).
+    """Assert a run is byte-identical on replay (same seed, mix, mode).
 
     Runs the scenario twice through the replay harness, fingerprinting
     the recorded histories and the full result summary; raises
@@ -1283,7 +1527,7 @@ def replay_digest(
     from repro.analysis.replay import run_replay
 
     def once():
-        run = run_chaos(scenario, seed, mix, ops)
+        run = run_chaos(scenario, seed, mix, ops, mode=mode)
         return {"history": run.histories, "extra": run.to_dict()}
 
     return run_replay(once, runs=2)

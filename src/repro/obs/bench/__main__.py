@@ -94,8 +94,8 @@ def main(argv=None) -> int:
         default=None,
         metavar="PATH",
         help="profile the fixed speed run under cProfile and write the "
-        "hot-path ledger consumed by 'python -m repro.analysis "
-        "--engine' (default path: benchmarks/profiles/speed_ledger.json)",
+        "hot-path ledger consumed by 'python -m repro.analysis' "
+        "(default path: benchmarks/profiles/speed_ledger.json)",
     )
     args = parser.parse_args(argv)
 

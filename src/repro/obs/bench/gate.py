@@ -603,7 +603,7 @@ def gate_speed(seed: int = GATE_SEED) -> tuple[dict, dict]:
 def record_speed_ledger(out_path, seed: int = GATE_SEED) -> dict:
     """Profile the fixed speed run and write the hot-path ledger.
 
-    The ledger is what ``python -m repro.analysis --engine`` seeds its
+    The ledger is what ``python -m repro.analysis`` seeds its
     hot-path set from: every project function with its fraction of
     cProfile self time on the same fixed kernel run ``gate_speed``
     times. It is *committed* (``benchmarks/profiles/speed_ledger.json``)
@@ -673,7 +673,7 @@ def record_speed_ledger(out_path, seed: int = GATE_SEED) -> dict:
     ledger = {
         "run": "gate_speed kernel run (YCSB A, 2000 QPS, 25 sim-s, seed "
         f"{seed})",
-        "note": "committed input for repro.analysis --engine hot paths; "
+        "note": "committed input for repro.analysis hot paths; "
         "re-record with: python -m repro.obs.bench --record-speed-ledger",
         "functions": functions,
     }

@@ -6,6 +6,8 @@ the path-sensitive checks (layering, determinism allowlist, start_span
 allowlist) exercise exactly the logic they apply to ``src/repro``.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -205,14 +207,27 @@ def _cli_json(cwd, *args):
     )
 
 
-def test_verdict_does_not_depend_on_the_cwd(tmp_path, monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def home_run():
+    """The one in-process analyser run over the real tree, from the repo
+    root: (exit code, json report)."""
+    previous = os.getcwd()
+    os.chdir(REPO_ROOT)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["--format", "json"])
+    finally:
+        os.chdir(previous)
+    return code, json.loads(out.getvalue())
+
+
+def test_verdict_does_not_depend_on_the_cwd(tmp_path, request):
     # the committed ledger and budget resolve from the package, not the
-    # cwd, and apply to the package alone
+    # cwd, and apply to the package alone; the two children run while
+    # the in-process run does
     away = _cli_json(tmp_path)
     fixture = _cli_json(REPO_ROOT, "--root", str(GOOD))
-    monkeypatch.chdir(REPO_ROOT)
-    main(["--format", "json"])
-    home = json.loads(capsys.readouterr().out)
+    home = request.getfixturevalue("home_run")[1]
     away, fixture = (json.loads(p.communicate()[0]) for p in (away, fixture))
     assert away == home
     assert away["hot"] > 0
@@ -222,6 +237,6 @@ def test_verdict_does_not_depend_on_the_cwd(tmp_path, monkeypatch, capsys):
     assert fixture["exit_code"] == 0
 
 
-def test_self_clean():
+def test_self_clean(home_run):
     """The acceptance criterion: the real tree lints clean."""
-    assert main([]) == 0
+    assert home_run[0] == 0

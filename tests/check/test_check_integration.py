@@ -1,4 +1,4 @@
-"""End-to-end: real-system scenarios check clean, the CLI's exit codes,
+"""End-to-end: real-system scenarios check clean, the CLIs' exit codes,
 and the ``pytest --check`` per-test wiring."""
 
 import os
@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.__main__ import main
+from repro.check.__main__ import main as check_main
 from repro.check.checker import check_history
 from repro.check.history import HistoryRecorder
-from repro.check.scenarios import SCENARIOS, run_scenario
+from repro.faults.__main__ import main
+from repro.faults.chaos import run_chaos
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -20,64 +21,52 @@ REPO = Path(__file__).resolve().parents[2]
 @pytest.mark.parametrize("scenario", ["commit", "isolation"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_real_scenarios_check_clean(scenario, seed):
-    result = run_scenario(scenario, seed)
-    assert result.event_count > 0
+    result = run_chaos(scenario, seed, "none")
+    assert sum(len(history) for history in result.histories) > 0
     assert result.violations == []
 
 
 def test_acceptance_run_is_clean():
-    """The ISSUE acceptance criterion: traced YCSB checks clean."""
-    result = run_scenario("ycsb", 42)
-    assert result.event_count > 0
+    """Traced YCSB (seed 42, 50 ops, no faults) checks clean."""
+    result = run_chaos("ycsb", 42, "none", 50)
+    assert sum(len(history) for history in result.histories) > 0
     assert result.violations == []
 
 
 def test_isolation_scenario_survives_perturbation():
     for mode in ("delay", "flip"):
-        result = run_scenario("isolation", 3, mode)
+        result = run_chaos("isolation", 3, "none", mode=mode)
         assert result.violations == [], mode
 
 
-def test_scenario_registry():
-    assert {"commit", "ycsb", "isolation"} <= set(SCENARIOS)
-    assert {name for name in SCENARIOS if name.startswith("anomaly-")} == {
-        "anomaly-lost-update",
-        "anomaly-write-skew",
-        "anomaly-stale-notification",
-        "anomaly-non-monotonic-ts",
-    }
-    with pytest.raises(ValueError):
-        run_scenario("no-such", 1)
+def _one(scenario, seed, *extra):
+    return [
+        "--scenarios", scenario, "--mixes", "none", "--seed-base",
+        str(seed), "--seeds", "1", "--out", "-", *extra,
+    ]
 
 
-def test_cli_exit_codes(tmp_path, capsys):
-    assert main(["--scenario", "commit", "--seed", "1"]) == 0
-    assert main(["--scenario", "anomaly-lost-update", "--seed", "1"]) == 1
+def test_cli_exit_codes(capsys):
+    assert main(_one("commit", 1)) == 0
+    assert main(_one("anomaly-lost-update", 1)) == 1
     out = capsys.readouterr().out
     assert "[lost-update]" in out
-    assert (
-        main(["--explore", "--scenario", "commit", "--modes", "chaos"]) == 2
-    )
+    assert main(["--explore", "--modes", "chaos", "--out", "-"]) == 2
+    with pytest.raises(SystemExit):
+        check_main([])
+    capsys.readouterr()
 
 
 def test_cli_log_out_then_check_log(tmp_path, capsys):
-    log = tmp_path / "history.jsonl"
+    artifacts = tmp_path / "artifacts"
     assert (
-        main(
-            [
-                "--scenario",
-                "anomaly-non-monotonic-ts",
-                "--seed",
-                "2",
-                "--log-out",
-                str(log),
-            ]
-        )
+        main(_one("anomaly-non-monotonic-ts", 2, "--artifacts", str(artifacts)))
         == 1
     )
+    log = artifacts / "anomaly-non-monotonic-ts-none-seed2.history.jsonl"
     events = HistoryRecorder.parse_jsonl(log.read_text())
     assert events and check_history(events)
-    assert main(["--check-log", str(log)]) == 1
+    assert check_main(["--check-log", str(log)]) == 1
     capsys.readouterr()
 
 
@@ -85,17 +74,21 @@ def test_cli_explore_prints_reproducers(capsys):
     code = main(
         [
             "--explore",
-            "--scenario",
+            "--scenarios",
             "anomaly-write-skew",
+            "--mixes",
+            "none",
             "--seeds",
             "4",
             "--modes",
             "none",
+            "--out",
+            "-",
         ]
     )
     assert code == 1
     out = capsys.readouterr().out
-    assert "python -m repro.check --scenario anomaly-write-skew" in out
+    assert "python -m repro.faults --scenarios anomaly-write-skew" in out
 
 
 def test_pytest_check_flag_wires_the_teardown(tmp_path):

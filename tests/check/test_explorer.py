@@ -7,12 +7,15 @@ from repro.check.explorer import (
     DelayPerturber,
     FlipPerturber,
     MODES,
-    Reproducer,
-    explore,
     make_perturber,
-    shrink,
 )
-from repro.check.scenarios import default_ops, run_scenario
+from repro.faults.chaos import Reproducer, default_ops, run_chaos, shrink, sweep
+
+
+def explore(scenario, seeds, modes):
+    """Sweep ``seeds`` x ``modes`` at mix ``none``; (runs, reproducers)."""
+    runs, _summary = sweep([scenario], list(seeds), ["none"], modes=modes)
+    return runs, [shrink(run) for run in runs if run.violations]
 
 
 def test_make_perturber():
@@ -41,40 +44,29 @@ def test_perturbers_are_seed_deterministic_and_targeted():
 
 
 def test_reproducer_command():
-    reproducer = Reproducer("isolation", 3, "flip", 6, ("lost-update",))
+    reproducer = Reproducer("isolation", 3, "none", "flip", 6, ("lost-update",))
     assert reproducer.command() == (
-        "python -m repro.check --scenario isolation "
-        "--seed 3 --mode flip --ops 6"
+        "python -m repro.faults --scenarios isolation --mixes none "
+        "--modes flip --seed-base 3 --seeds 1 --ops 6"
     )
 
 
 def test_explore_finds_and_shrinks_lost_update():
-    report = explore("anomaly-lost-update", seeds=range(4), modes=["none"])
-    assert report.found_violation
-    assert report.runs == 4
-    assert report.clean + len(report.reproducers) == 4
-    for reproducer in report.reproducers:
+    runs, reproducers = explore("anomaly-lost-update", range(4), ["none"])
+    assert reproducers
+    assert len(runs) == 4
+    for reproducer in reproducers:
         assert "lost-update" in reproducer.violations
         assert reproducer.ops <= default_ops("anomaly-lost-update")
         # the reproducer really reproduces
-        rerun = run_scenario(
+        rerun = run_chaos(
             reproducer.scenario,
             reproducer.seed,
-            reproducer.mode,
+            reproducer.mix,
             reproducer.ops,
+            mode=reproducer.mode,
         )
         assert rerun.violations
-
-
-def test_explore_stop_at_caps_the_sweep():
-    report = explore(
-        "anomaly-non-monotonic-ts",
-        seeds=range(10),
-        modes=["none"],
-        stop_at=1,
-    )
-    assert len(report.reproducers) == 1
-    assert report.runs < 10
 
 
 def test_each_anomaly_yields_its_named_class():
@@ -85,19 +77,30 @@ def test_each_anomaly_yields_its_named_class():
         "anomaly-non-monotonic-ts": "non-monotonic-commit",
     }
     for scenario, check in expected.items():
-        report = explore(scenario, seeds=range(6), modes=["none", "delay"])
-        assert report.found_violation, scenario
+        _runs, reproducers = explore(scenario, range(6), ["none", "delay"])
+        assert reproducers, scenario
         found = {
             violation
-            for reproducer in report.reproducers
+            for reproducer in reproducers
             for violation in reproducer.violations
         }
         assert check in found, (scenario, found)
 
 
+def test_shrink_keeps_the_mix_and_drops_the_mode():
+    def shrunk(seed):
+        return shrink(
+            run_chaos("anomaly-lost-update", seed, "storage", mode="delay")
+        )
+
+    first = shrunk(1)
+    assert (first.mix, first.mode, first.ops) == ("storage", "delay", 3)
+    assert (shrunk(0).mix, shrunk(0).mode) == ("storage", "none")
+
+
 def test_shrink_requires_a_violating_run():
     with pytest.raises(AssertionError):
-        shrink("commit", seed=1, mode="none", ops=2)
+        shrink(run_chaos("commit", 1, "none", 2))
 
 
 def test_modes_constant_matches_make_perturber():

@@ -13,7 +13,7 @@ from repro.check.history import (
     recording,
     set_enabled,
 )
-from repro.check.scenarios import run_scenario
+from repro.faults.chaos import run_chaos
 from repro.obs.export import history_jsonl
 
 
@@ -113,17 +113,17 @@ def test_same_seed_history_logs_are_byte_identical():
     def jsonl(run):
         return history_jsonl(run.histories)
 
-    first = run_scenario("commit", seed=5)
-    second = run_scenario("commit", seed=5)
-    assert first.event_count > 0
+    first = run_chaos("commit", 5, "none")
+    second = run_chaos("commit", 5, "none")
+    assert first.histories
     assert jsonl(first) == jsonl(second)
-    other = run_scenario("commit", seed=6)
+    other = run_chaos("commit", 6, "none")
     assert jsonl(first) != jsonl(other)
 
 
 def test_replay_harness_fingerprints_history():
     report = run_replay(
-        lambda: {"history": run_scenario("commit", seed=3).histories},
+        lambda: {"history": run_chaos("commit", 3, "none").histories},
         runs=2,
     )
     assert report.deterministic

@@ -62,17 +62,8 @@ def test_run_query_respects_limit_offset():
     assert [d.data["order"] for d in result] == [1, 2]
 
 
-def test_query_sync_marks():
-    cache = LocalCache()
-    cache.mark_query_synced("notes|all")
-    assert cache.is_query_synced("notes|all")
-    assert not cache.is_query_synced("other")
-
-
 def test_clear():
     cache = LocalCache()
     cache.record_document(Path.parse("notes/a"), {"v": 1}, 1)
-    cache.mark_query_synced("k")
     cache.clear()
     assert len(cache) == 0
-    assert not cache.is_query_synced("k")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.faults.chaos import (
-    CHAOS_SCENARIOS,
+    SCENARIOS,
     default_ops,
     replay_digest,
     run_chaos,
@@ -74,9 +74,9 @@ def test_to_dict_is_json_serializable():
 
 
 def test_unknown_scenario_and_defaults():
-    with pytest.raises(ValueError, match="unknown chaos scenario"):
+    with pytest.raises(ValueError, match="unknown scenario"):
         run_chaos("nope", seed=0, mix="none")
-    for name, (_builder, dflt) in CHAOS_SCENARIOS.items():
+    for name, (_builder, dflt) in SCENARIOS.items():
         assert default_ops(name) == dflt > 0
 
 

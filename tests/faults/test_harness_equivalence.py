@@ -20,7 +20,7 @@ named deterministic test below:
   its history);
 - metastable's fragile arm driven with the fault plan.
 
-``isolation`` (a ``repro.check`` scenario) has no live oracle: the
+``isolation`` (the checker's transfer scenario) has no live oracle: the
 one-shot commit hook it used to arm is gone from Spanner. Its histories
 are pinned by the md5s the previous implementation produced.
 """
@@ -33,15 +33,13 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.check import scenarios
 from repro.check.checker import check_history
-from repro.check.history import recording
-from repro.check.scenarios import run_scenario
+from repro.check.history import record_and_check, recording
 from repro.faults import chaos
 from repro.faults.chaos import (
     _OVERLOAD_COLLAPSED_RATIO,
     _OVERLOAD_RECOVERED_RATIO,
-    CHAOS_SCENARIOS,
+    SCENARIOS,
     ChaosRun,
     _applied_tokens,
     _attach_critpath,
@@ -696,9 +694,16 @@ def assert_equivalent(scenario, mix, seed, ops=None, traced=False):
 
 
 def test_the_oracle_covers_every_scenario():
-    assert set(ORACLE) == set(CHAOS_SCENARIOS)
+    # every chaos-plan entry of the table: all but the checker's own
+    # isolation and anomaly-* scenarios
+    plan_entries = {
+        name
+        for name in SCENARIOS
+        if name != "isolation" and not name.startswith("anomaly-")
+    }
+    assert set(ORACLE) == plan_entries
     for name, (_builder, ops) in ORACLE.items():
-        assert CHAOS_SCENARIOS[name][1] == ops
+        assert SCENARIOS[name][1] == ops
 
 
 @settings(max_examples=20, deadline=None)
@@ -764,7 +769,7 @@ def test_fragile_arm_runs_fault_free():
 # -- isolation: pinned by the previous implementation's histories -------------
 
 #: md5 of the history JSONL the previous implementation recorded,
-#: per (mode, seed), for ``run_scenario("isolation", seed, mode)``
+#: per (mode, seed), for ``run_chaos("isolation", seed, "none", mode=mode)``
 ISOLATION_MD5 = {
     ("none", 0): "d39b77b6ae7db2899f448e3003e18970",
     ("none", 1): "c74bf11fbaf01662b251b37fd2724b7c",
@@ -802,7 +807,7 @@ ISOLATION_MD5 = {
 def test_isolation_histories_match_the_previous_injector():
     unknown = 0
     for (mode, seed), expected in ISOLATION_MD5.items():
-        run = run_scenario("isolation", seed, mode)
+        run = run_chaos("isolation", seed, "none", mode=mode)
         assert not run.violations
         log = history_jsonl(run.histories)
         unknown += log.count('"k":"unknown"')
@@ -820,7 +825,8 @@ def test_one_commit_loop_one_storm_driver_one_commit_fault_path():
     assert source.count("SloEngine(OVERLOAD_SLOS())") == 1
     for removed in ("def apply", "def make_apply", "with recording()"):
         assert removed not in source
-    assert "with recording()" in inspect.getsource(scenarios)
+    # the one recording/checking block, next to ``recording``
+    assert "with recording()" in inspect.getsource(record_and_check)
     # spelled split so this file does not match its own search
     gone = ("commit_fault" + "_injector", "inject_unknown" + "_outcome")
     root = Path(__file__).resolve().parents[2]

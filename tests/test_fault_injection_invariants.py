@@ -143,9 +143,9 @@ def test_guardrail_violations_share_one_exception_family():
     assert issubclass(CheckerViolation, VerificationError)
 
     # a deliberately broken history must surface as VerificationError
-    from repro.check.scenarios import run_scenario
+    from repro.faults.chaos import run_chaos
 
-    result = run_scenario("anomaly-lost-update", seed=1)
+    result = run_chaos("anomaly-lost-update", 1, "none")
     assert result.violations
     with pytest.raises(VerificationError) as excinfo:
         assert_clean(result.violations, context="anomaly")
