@@ -63,10 +63,10 @@ def emit_bench_json(
 ) -> pathlib.Path:
     """Write ``BENCH_<name>.json`` in the unified schema.
 
-    ``raw`` is the benchmark's full summary (never compared); ``metrics``
-    are the headline numbers the regression gate diffs against committed
-    baselines (build entries with :func:`bench_metric`); ``slos`` is an
-    optional :mod:`repro.obs.slo` verdict block.
+    ``raw`` is the benchmark's full summary; ``metrics`` are the
+    headline numbers ``benchmarks/render_experiments.py`` tabulates
+    (build entries with :func:`bench_metric`); ``slos`` is an optional
+    :mod:`repro.obs.slo` verdict block.
     """
     from repro.obs.bench import bench_payload, write_payload
 

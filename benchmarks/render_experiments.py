@@ -6,7 +6,7 @@ output. This script re-renders every unified-schema payload (see
 refreshed from a benchmark run without retyping::
 
     PYTHONPATH=src python benchmarks/render_experiments.py             # stdout
-    PYTHONPATH=src python benchmarks/render_experiments.py --dir benchmarks/baselines
+    PYTHONPATH=src python benchmarks/render_experiments.py --dir "$REPRO_BENCH_DIR"
     PYTHONPATH=src python benchmarks/render_experiments.py --write EXPERIMENTS.tables.md
 
 Pre-schema BENCH files (no ``schema_version``) are skipped with a note.
@@ -58,7 +58,7 @@ def render_dir(directory: pathlib.Path) -> str:
     if not payloads:
         return (
             f"no unified-schema BENCH_*.json under {directory} — run "
-            "`pytest benchmarks/` or `python -m repro.obs.bench` first\n"
+            "`pytest benchmarks/` or `python -m repro.faults` first\n"
         )
     header = [
         "# Benchmark tables (generated)",

@@ -540,7 +540,7 @@ REQUIRED_HISTORY_TAPS: dict[str, frozenset[str]] = {
 #: The subsystem entry points that must feed the repro.obs sim-time
 #: profiler. Its ≥99% busy-time coverage guarantee only holds while every
 #: path that advances (or accounts) simulated time carries a tag; drop
-#: one and the regression gate starts comparing partial profiles.
+#: one and the profiles start reporting partial busy time.
 REQUIRED_PERF_TAPS: dict[str, frozenset[str]] = {
     "service/pool.py": frozenset({"TaskPool._dispatch"}),
     "service/overload.py": frozenset({"OverloadState.account_hedge"}),

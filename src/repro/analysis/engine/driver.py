@@ -31,7 +31,6 @@ budget rows, no timestamps.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, TextIO
@@ -138,17 +137,6 @@ CHECKS: dict[str, Check] = {
 #: the committed speed budget the package itself is metered against
 DEFAULT_BUDGET = REPO_ROOT / "benchmarks" / "speed_budget.toml"
 
-#: committed gate baseline the staleness guard compares the ledger to
-DEFAULT_BASELINE = (
-    REPO_ROOT / "benchmarks" / "baselines" / "BENCH_gate_speed.json"
-)
-
-#: ledger wall_us_per_sim_us may exceed the gate baseline's by up to
-#: this factor (cProfile instrumentation overhead) before the ledger
-#: is considered stale; below the lower bound the *baseline* moved
-#: (the kernel got slower and the ledger was never re-recorded).
-_STALENESS_BAND = (0.8, 4.0)
-
 #: minimum fraction of ledger entries that must still resolve against
 #: the current symbol table
 _STALENESS_RESOLVE_FRACTION = 0.75
@@ -224,35 +212,9 @@ def _staleness_warnings(
             out.append(
                 f"engine: warning: speed ledger is stale — only "
                 f"{resolved}/{len(functions)} profiled functions still "
-                "resolve against the tree (re-record with python -m "
-                "repro.obs.bench --record-speed-ledger)"
+                "resolve against the tree (re-record with PYTHONPATH=src "
+                "python benchmarks/profiles/record_ledger.py)"
             )
-    if DEFAULT_BASELINE.exists():
-        try:
-            baseline = json.loads(
-                DEFAULT_BASELINE.read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return out
-        metric = baseline.get("metrics", {}).get("wall_us_per_sim_us", {})
-        base_ratio = metric.get("value")
-        note = str(data.get("run", ""))
-        match = re.search(r"(\d+(?:\.\d+)?)\s*sim-s", note)
-        total_self_s = sum(
-            float(entry.get("self_s", 0.0)) for entry in functions
-        )
-        if base_ratio and match and total_self_s > 0:
-            ledger_ratio = total_self_s / float(match.group(1))
-            rel = ledger_ratio / float(base_ratio)
-            lo, hi = _STALENESS_BAND
-            if not (lo <= rel <= hi):
-                out.append(
-                    "engine: warning: speed ledger disagrees with "
-                    "BENCH_gate_speed.json — ledger wall/sim ratio is "
-                    f"{rel:.2f}x the baseline (allowed "
-                    f"{lo:.1f}x–{hi:.1f}x incl. profiler overhead); "
-                    "one of them is stale"
-                )
     return out
 
 

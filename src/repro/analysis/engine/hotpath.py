@@ -2,7 +2,7 @@
 
 Seeds come from a *committed* profiler ledger
 (``benchmarks/profiles/speed_ledger.json``, written by
-``python -m repro.obs.bench --record-speed-ledger``): every project
+``benchmarks/profiles/record_ledger.py``): every project
 function cProfile attributed at least :data:`HOT_SELF_FRACTION` of
 wall-clock self time on the fixed 200k-event kernel run. The set is then
 transitively closed over the call graph — anything a hot function calls
@@ -35,7 +35,7 @@ class HotPaths:
     """Hot function set + the evidence that made each function hot."""
 
     def __init__(self) -> None:
-        #: qualname -> human evidence string ("12.4% self on gate_speed"
+        #: qualname -> human evidence string ("12.4% self on <ledger run>"
         #: for seeds, "called from <seed>" for closure members)
         self.evidence: dict[str, str] = {}
         #: description of the ledger the seeds came from

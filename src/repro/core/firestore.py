@@ -230,7 +230,7 @@ class FirestoreDatabase:
         # the transactions it mirrors (repro.check; None when disabled)
         self.realtime.changelog.recorder = spanner.recorder
         # and into the same profiler ledger (repro.obs.perf; staleness
-        # SLO feeding is wired separately by the gate/bench runners)
+        # SLO feeding is wired separately by the chaos/bench runners)
         self.realtime.changelog.profiler = spanner.profiler
         self.backend = Backend(
             self.layout,

@@ -210,7 +210,7 @@ def main(argv=None) -> int:
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         summary["replay_failures"] = replay_failures
         # the unified schema every BENCH_*.json shares (repro.obs.bench):
-        # the sweep's hard verdicts are exact metrics the gate can diff,
+        # the sweep's hard verdicts are exact metrics a reader can diff,
         # and the pooled verification SLO block rides along
         payload = bench_payload(
             name="faults",

@@ -1155,7 +1155,7 @@ def _metastable_chaos(
 def metastable_run(seed: int, resilient: bool = True) -> dict:
     """One arm of the metastable demonstration, sans chaos scaffolding.
 
-    The ``gate_overload`` bench cell runs this twice — resilient (must
+    ``examples/overload_storm.py`` runs this twice — resilient (must
     recover) and fragile (must stay collapsed) — without the recording/
     checking overhead of the full scenario. Returns the fleet summary
     (goodput windows, recovery ratio, shed/breaker/budget counters).

@@ -19,8 +19,8 @@ monitoring; this package gives the reproduction the same visibility:
 - :class:`SloSpec` / :class:`SloEngine`: declarative objectives with
   rolling-window burn-rate evaluation.
 - :mod:`repro.obs.stats`: the one home for percentile arithmetic.
-- ``repro.obs.bench`` (not imported here — it sits above the workload
-  layer): unified BENCH schema, regression gate, HTML dashboard.
+- ``repro.obs.bench`` (not imported here): the unified BENCH schema
+  every ``BENCH_*.json`` shares.
 """
 
 from repro.obs.export import (

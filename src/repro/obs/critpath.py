@@ -638,7 +638,7 @@ def critpath_flamegraph_svg(
 
 # -- CLI ----------------------------------------------------------------------
 
-#: scenario -> (default mix, default seed) for the CLI and the perf gate
+#: scenario -> (default mix, default seed) for the CLI and the blame tests
 SCENARIO_DEFAULTS = {
     "overload-storm": ("none", 7),
     "failover": ("region-outage", 5),

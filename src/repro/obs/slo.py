@@ -318,7 +318,7 @@ class SloEngine:
 
 
 def DEFAULT_SLOS(window_us: int = 60_000_000) -> list[SloSpec]:
-    """The serving-plane objectives every gate cell is judged against."""
+    """The serving-plane objectives: availability, p99, staleness, fairness."""
     return [
         SloSpec(
             name="request.availability",
@@ -354,7 +354,7 @@ def DEFAULT_SLOS(window_us: int = 60_000_000) -> list[SloSpec]:
 
 
 def REPLICATION_SLOS(window_us: int = 60_000_000) -> list[SloSpec]:
-    """Geo-replication objectives for the failover gate cell.
+    """Geo-replication objectives (replication lag and convergence).
 
     Kept separate from :func:`DEFAULT_SLOS` so single-region cells are
     not judged against streams they never feed.

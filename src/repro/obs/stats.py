@@ -4,7 +4,7 @@ Before this module existed the repo computed percentiles four different
 ways: ``service.metrics.LatencyRecorder`` used nearest-rank, the chaos
 runner used ``round(p/100 * (n-1))``, the fleet synthesizer used
 ``int(n*p)``, and ad-hoc helpers in the workloads wrapped one or another
-with their own empty-sample behavior. The regression gate diffs numbers
+with their own empty-sample behavior. The benchmarks diff numbers
 across runs and PRs, which only makes sense if every producer computes
 them identically — so everything now delegates here.
 

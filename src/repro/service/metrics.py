@@ -1,7 +1,7 @@
 """Latency percentile recorders.
 
 Percentile arithmetic delegates to :mod:`repro.obs.stats` so the
-regression gate compares numbers computed identically everywhere.
+benchmarks compare numbers computed identically everywhere.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ class Rpc:
     A hand-rolled ``__slots__`` record rather than a dataclass: two of
     these are built per simulated request, and the generated dataclass
     ``__init__`` plus a separate ``__post_init__`` frame are measurable
-    at that rate (see gate_speed).
+    at that rate (see the ladder's ``fleet`` workload).
 
     Fields:
 

@@ -210,7 +210,7 @@ class LatencyModel:
 
     # The sampling methods inline the jitter draw instead of sharing a
     # helper: they run once or twice per simulated request, and the
-    # extra call frames measurably slow the kernel (see gate_speed).
+    # extra call frames measurably slow the kernel (ladder: fleet).
     # All of them draw rand.lognormal(0, jitter_sigma) exactly once so
     # the random stream is identical to the historical helper-based code.
 

@@ -31,7 +31,7 @@ class FanoutConfig:
     seed: int = 7
     cluster: Optional[ClusterConfig] = None
     #: optional repro.obs hooks (perf.Profiler / slo.SloEngine) shared by
-    #: every per-level cluster; the regression gate wires both
+    #: every per-level cluster
     profiler: Optional[object] = None
     slo: Optional[object] = None
 

@@ -50,7 +50,7 @@ class YcsbConfig:
     #: into the same trace at the start of the measurement window
     trace: bool = False
     #: optional repro.obs hooks (perf.Profiler / slo.SloEngine), threaded
-    #: into the serving cluster; the regression gate wires both
+    #: into the serving cluster
     profiler: Optional[object] = None
     slo: Optional[object] = None
 

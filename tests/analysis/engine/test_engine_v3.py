@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import driver
 from repro.analysis.engine.driver import _staleness_warnings, run_engine
 from repro.analysis.engine.perflint import Engine
 from repro.analysis.reprolint import _iter_sources, _parse
@@ -141,20 +140,10 @@ def engine():
     return Engine.build(modules, ledger_path=None)
 
 
-def _ledger(tmp_path, functions, run_note="fixture run over 10 sim-s"):
+def _ledger(tmp_path, functions):
     path = tmp_path / "speed_ledger.json"
     path.write_text(
-        json.dumps({"run": run_note, "functions": functions})
-    )
-    return path
-
-
-def _baseline(tmp_path, ratio):
-    path = tmp_path / "BENCH_gate_speed.json"
-    path.write_text(
-        json.dumps(
-            {"metrics": {"wall_us_per_sim_us": {"value": ratio}}}
-        )
+        json.dumps({"run": "fixture run", "functions": functions})
     )
     return path
 
@@ -167,10 +156,7 @@ RESOLVING = [
 ]
 
 
-def test_unresolvable_ledger_warns_stale(engine, tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        driver, "DEFAULT_BASELINE", tmp_path / "absent.json"
-    )
+def test_unresolvable_ledger_warns_stale(engine, tmp_path):
     ledger = _ledger(
         tmp_path,
         [
@@ -185,23 +171,7 @@ def test_unresolvable_ledger_warns_stale(engine, tmp_path, monkeypatch):
     assert "stale" in warnings[0] and "0/2" in warnings[0]
 
 
-def test_ledger_ratio_outside_band_warns(engine, tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        driver, "DEFAULT_BASELINE", _baseline(tmp_path, 0.01)
-    )
-    # 1.0 self-s over 10 sim-s = 0.1; 10x the 0.01 baseline > 4.0 band
-    ledger = _ledger(tmp_path, RESOLVING)
-    warnings = _staleness_warnings(engine, ledger)
-    assert len(warnings) == 1
-    assert "disagrees" in warnings[0]
-    assert "10.00x" in warnings[0]
-
-
-def test_healthy_ledger_stays_quiet(engine, tmp_path, monkeypatch):
-    # same ratio as the ledger (0.1) -> rel 1.0x, inside the band
-    monkeypatch.setattr(
-        driver, "DEFAULT_BASELINE", _baseline(tmp_path, 0.1)
-    )
+def test_healthy_ledger_stays_quiet(engine, tmp_path):
     ledger = _ledger(tmp_path, RESOLVING)
     assert _staleness_warnings(engine, ledger) == []
 

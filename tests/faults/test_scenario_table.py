@@ -8,7 +8,8 @@ under the first mix CI sweeps that entry with. They were computed on the
 code before the merge: the chaos rows by its ``run_chaos``; the
 ``isolation`` and ``anomaly-*`` rows from its checker-side runs (the
 histories and violations it recorded, in a ``ChaosRun`` at mix
-``none``).
+``none``). ``commit`` is also pinned under ``chaos``, the mix CI's
+chaos-smoke step runs it with.
 """
 
 import functools
@@ -30,6 +31,11 @@ PINS = {
         '7781007bc97d05b3351b07770c2bb19e',
         '9b92698ed2d37ab8ff8c2ad028a56f7d',
         '0610158de51be9b93908fa6bb7981733',
+    ),
+    ('commit', 'chaos'): (
+        'fa5f551cb48a4c0309998b624ea7f04e',
+        'd2a300748b6ba91ff1f7b53278fafd19',
+        'e8846d98659686b8a8615ef149cabd10',
     ),
     ('ycsb', 'none'): (
         '936a2aec7c82139dcd34f05eee8b1980',

@@ -313,6 +313,12 @@ def test_overload_storm_blames_queue_and_retry_backoff():
     top = summary["operations"]["get"]["top_tail_causes"]
     assert "queue" in top
     assert "retry_backoff" in top
+    assert (
+        summary["requests"],
+        summary["spans"],
+        summary["coverage"]["unattributed_us"],
+        summary["sampler"]["retained"],
+    ) == (5986, 20238, 0, 144)
 
 
 def test_failover_blames_quorum_and_replication_apply():
@@ -324,6 +330,12 @@ def test_failover_blames_quorum_and_replication_apply():
     top = summary["operations"]["commit"]["top_tail_causes"]
     assert "quorum_rtt" in top
     assert "replication_apply" in top
+    assert (
+        summary["requests"],
+        summary["spans"],
+        summary["coverage"]["unattributed_us"],
+        summary["sampler"]["retained"],
+    ) == (59, 317, 0, 25)
 
 
 def test_tracing_does_not_perturb_the_run():

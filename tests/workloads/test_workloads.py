@@ -54,6 +54,27 @@ class TestYcsb:
         b = YcsbRunner(YcsbConfig(seed=2, **config)).run()
         assert (a.read_p50_us, a.read_p99_us) != (b.read_p50_us, b.read_p99_us)
 
+    def test_kernel_run_is_pinned(self):
+        # the fixed run benchmarks/profiles/record_ledger.py profiles:
+        # making the simulator faster must not change what it simulates
+        runner = YcsbRunner(
+            YcsbConfig(
+                workload="A",
+                target_qps=2000,
+                duration_s=25,
+                measure_last_s=10,
+                seed=42,
+            )
+        )
+        result = runner.run()
+        assert runner.cluster.kernel.executed == 200_505
+        assert (
+            result.read_p50_us,
+            result.read_p99_us,
+            result.update_p50_us,
+            result.update_p99_us,
+        ) == (9560, 21164, 28637, 49413)
+
 
 class TestFanout:
     def test_latency_stable_across_exponential_listeners(self):
