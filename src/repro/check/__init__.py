@@ -1,4 +1,4 @@
-"""repro.check — transactional history checker + schedule perturbers.
+"""repro.check — transactional history checker + schedule perturber.
 
 The paper's core claims are *consistency guarantees*: serializable
 transactions (section IV-D1), externally consistent TrueTime commit
@@ -19,9 +19,10 @@ executions, Elle-style, instead of trusting the implementation:
   notification order/completeness. :func:`repro.check.history.record_and_check`
   runs a scenario under recording and checks every history it left;
   ``python -m repro.check --check-log FILE`` judges a saved log.
-- :mod:`repro.check.explorer` — the **schedule perturbers** (biased
-  event-queue reorderings through ``repro.sim.events`` priorities) the
-  explorer, ``python -m repro.faults --explore``, sweeps.
+- :mod:`repro.check.explorer` — the **schedule perturber** (seeded
+  delays of targeted ``repro.sim.events`` events, which reorder them
+  against the rest of the queue) the explorer,
+  ``python -m repro.faults --explore``, sweeps.
 - :mod:`repro.check.anomalies` — deliberately broken toy stores (lost
   update, write skew, stale notification, non-monotonic commit
   timestamps) proving the checker can actually fail.

@@ -22,10 +22,11 @@ checker exists to catch:
 
 Each takes the scenario table's builder signature ``(plan, seed, ops,
 run)`` (:mod:`repro.faults.chaos`) and ignores the fault plan. All
-randomness is a deterministic function of the seed (``run.mode`` biases
-the distributions), so the schedule explorer's sweep finds violating
-seeds and shrinks them to minimal reproducers just as it would for a
-real bug.
+randomness is a deterministic function of the seed (under ``delay``,
+``run.mode`` stretches the conflict windows of every store but
+:func:`stale_notification`, which consults no mode), so the schedule
+explorer's sweep finds violating seeds and shrinks them to minimal
+reproducers just as it would for a real bug.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ def stale_notification(plan, seed: int, ops: int, run) -> None:
     rand = SimRandom(seed).fork("anomaly-stale-notification")
     recorder = _recorder("anomaly-stale-notification")
     range_id = 1
-    swap_bias = 0.4 if run.mode == "flip" else 0.2
     accepted: list[tuple[int, str]] = []
     for op in range(ops):
         ts = (op + 1) * 1_000
@@ -128,7 +128,7 @@ def stale_notification(plan, seed: int, ops: int, run) -> None:
     # the broken flush: sometimes drop a change, sometimes swap a pair
     deliveries = list(accepted)
     for position in range(len(deliveries) - 1):
-        if rand.bernoulli(swap_bias):
+        if rand.bernoulli(0.2):
             deliveries[position], deliveries[position + 1] = (
                 deliveries[position + 1],
                 deliveries[position],

@@ -18,10 +18,11 @@ Perturbation modes:
     seeded extra latency on targeted events — commit, Real-time Cache
     pump, and transaction-step events get up to a few milliseconds of
     jitter, stretching the windows in which transactions overlap.
-``flip``
-    seeded tie-break priorities — events scheduled for the same instant
-    run in a seeded order instead of insertion order, exercising
-    alternative-but-legal interleavings.
+
+A mode is only worth sweeping where it changes the run: the scenario
+table (:data:`repro.faults.chaos.SCENARIOS`) names the entries that
+consult it, and ``tests/faults/test_scenario_table.py`` holds every
+mode to changing those entries' histories and no others.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from __future__ import annotations
 from repro.sim.rand import SimRandom
 
 #: the perturbation modes the explorer understands
-MODES = ("none", "delay", "flip")
+MODES = ("none", "delay")
 
-#: labels the perturbers target: transaction steps, 2pc commits,
-#: realtime pumps and notification deliveries
-TARGET_PREFIXES = ("txn", "commit", "2pc", "rtc", "pump", "notify")
+#: labels the perturber targets: transaction steps, commits and
+#: Real-time Cache pumps (the prefixes some kernel label carries)
+TARGET_PREFIXES = ("txn", "commit", "pump")
 
 #: maximum injected delay (microseconds) in ``delay`` mode
 MAX_DELAY_US = 4_000
@@ -49,28 +50,13 @@ class DelayPerturber:
     def __init__(self, seed: int):
         self._rand = SimRandom(seed).fork("perturb-delay")
 
-    def perturb(self, time_us: int, label: str, now_us: int) -> tuple[int, int]:
+    def perturb(self, time_us: int, label: str, now_us: int) -> int:
         if _targeted(label):
             time_us += self._rand.randint(0, MAX_DELAY_US)
-        return time_us, 0
+        return time_us
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "DelayPerturber()"
-
-
-class FlipPerturber:
-    """Seeded tie-break priorities: same-instant events run in a seeded
-    order instead of insertion order."""
-
-    def __init__(self, seed: int):
-        self._rand = SimRandom(seed).fork("perturb-flip")
-
-    def perturb(self, time_us: int, label: str, now_us: int) -> tuple[int, int]:
-        priority = self._rand.randint(-8, 8) if _targeted(label) else 0
-        return time_us, priority
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "FlipPerturber()"
 
 
 def make_perturber(mode: str, seed: int):
@@ -79,6 +65,4 @@ def make_perturber(mode: str, seed: int):
         return None
     if mode == "delay":
         return DelayPerturber(seed)
-    if mode == "flip":
-        return FlipPerturber(seed)
     raise ValueError(f"unknown perturbation mode {mode!r}; pick from {MODES}")

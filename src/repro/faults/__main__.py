@@ -12,7 +12,7 @@ tail-latency / injected-fault summary goes to ``BENCH_faults.json``.
     python -m repro.faults --scenarios ycsb --mixes none --seed-base 42 --seeds 1 --ops 50
     python -m repro.faults --scenarios commit --seeds 5 --replay
     python -m repro.faults --explore --scenarios isolation --mixes none \
-        --modes none,delay,flip --seeds 20 --out -
+        --modes none,delay --seeds 20 --out -
     python -m repro.faults --artifacts out/chaos    # dump failing runs
 
 ``--explore`` shrinks every violating run to a minimal reproducer (halve

@@ -34,8 +34,10 @@ The overload scenarios share one storm driver, :func:`_storm_chaos`.
 (:mod:`repro.check.anomalies`) the checker must flag. Every entry is
 built ``(plan, seed, ops, run)`` and run by :func:`run_chaos` into one
 :class:`ChaosRun`; ``run.mode`` carries the explorer's schedule
-perturbation (``none``, ``delay``, ``flip``), which ``ycsb``,
-``isolation`` and the ``anomaly-*`` stores consult and the rest ignore.
+perturbation (``none`` or ``delay``), which ``isolation``,
+``anomaly-lost-update``, ``anomaly-write-skew`` and
+``anomaly-non-monotonic-ts`` consult and the rest (``ycsb`` and
+``anomaly-stale-notification`` among them) ignore.
 
 The sweep (:func:`sweep`, ``python -m repro.faults``) runs the scenario
 matrix and emits an availability / tail-latency / injected-fault summary
@@ -261,16 +263,6 @@ def _attach_critpath(run: ChaosRun, tracer) -> None:
     run.extra["critpath"] = analyze(tracer, sampler=TailSampler())
 
 
-def _perturber(mode: str, seed: int):
-    """The explorer's schedule perturber for ``mode``, or None for
-    ``none`` (which never imports the explorer)."""
-    if mode == "none":
-        return None
-    from repro.check.explorer import make_perturber
-
-    return make_perturber(mode, seed)
-
-
 def _drain(database, rand: SimRandom, pumps: int = 16) -> None:
     """Advance past the Accept-timeout horizon, pumping the RTC.
 
@@ -464,7 +456,6 @@ def _ycsb_chaos(plan: FaultPlan, seed: int, ops: int, run: ChaosRun) -> None:
         trace=True,
     )
     runner = YcsbRunner(config)
-    runner.cluster.kernel.perturber = _perturber(run.mode, seed)
     runner.cluster.fault_plan = plan
     plan.metrics = runner.metrics
     plan.tracer = runner.tracer
@@ -1200,13 +1191,14 @@ def _isolation_chaos(plan: FaultPlan, seed: int, ops: int, run: ChaosRun) -> Non
     recreates its contention shape on the functional stack.) The mix is
     ignored: the one fault source is the :class:`_UnknownOutcomeSlot`.
     """
+    from repro.check.explorer import make_perturber
     from repro.core.backend import set_op
     from repro.core.firestore import FirestoreService
     from repro.core.transaction import TransactionContext
     from repro.errors import FirestoreError
     from repro.sim.events import EventKernel
 
-    kernel = EventKernel(perturber=_perturber(run.mode, seed))
+    kernel = EventKernel(perturber=make_perturber(run.mode, seed))
     service = FirestoreService(
         multi_region=False, clock=kernel.clock
     )
@@ -1291,8 +1283,11 @@ def _isolation_chaos(plan: FaultPlan, seed: int, ops: int, run: ChaosRun) -> Non
 #: the one scenario table: name -> (builder, default ops). Every builder
 #: takes ``(plan, seed, ops, run)``. The first seven drive the system
 #: under the mix's FaultPlan; ``isolation`` and the ``anomaly-*`` toy
-#: stores (which must violate) ignore the mix. Only ``ycsb``,
-#: ``isolation`` and the anomalies consult ``run.mode``.
+#: stores (which must violate) ignore the mix. Only ``isolation``,
+#: ``anomaly-lost-update``, ``anomaly-write-skew`` and
+#: ``anomaly-non-monotonic-ts`` consult ``run.mode``: no event of the
+#: serving fleet under ``ycsb`` carries a label the perturber targets,
+#: and ``anomaly-stale-notification`` fabricates no schedule.
 SCENARIOS: dict[
     str, tuple[Callable[[FaultPlan, int, int, ChaosRun], None], int]
 ] = {

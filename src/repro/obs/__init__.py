@@ -34,14 +34,7 @@ from repro.obs.export import (
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.perf import NULL_PROFILER, Profiler, collapse_spans, flamegraph_svg
 from repro.obs.sampling import trace_full_commit
-from repro.obs.slo import (
-    DEFAULT_SLOS,
-    OVERLOAD_SLOS,
-    REPLICATION_SLOS,
-    SloEngine,
-    SloSpec,
-    SloVerdict,
-)
+from repro.obs.slo import OVERLOAD_SLOS, SloEngine, SloSpec, SloVerdict
 from repro.obs.stats import boxplot, percentile, percentile_or, summarize
 from repro.obs.tracer import (
     NULL_SPAN,
@@ -54,7 +47,6 @@ from repro.obs.tracer import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_SLOS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -64,7 +56,6 @@ __all__ = [
     "NullTracer",
     "OVERLOAD_SLOS",
     "Profiler",
-    "REPLICATION_SLOS",
     "SloEngine",
     "SloSpec",
     "SloVerdict",

@@ -95,12 +95,6 @@ class Profiler:
             out[database_id] = out.get(database_id, 0) + sim_us
         return dict(sorted(out.items()))
 
-    def coverage(self, busy_us: float) -> float:
-        """Fraction of ``busy_us`` the ledger explains (1.0 when idle)."""
-        if busy_us <= 0:
-            return 1.0
-        return min(1.0, self.total_us() / busy_us)
-
     def rows(self) -> list[dict]:
         """Every ledger entry as a dict, sorted by key — replay-stable."""
         return [

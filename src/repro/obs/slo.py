@@ -40,8 +40,6 @@ __all__ = [
     "SloSpec",
     "SloVerdict",
     "SloEngine",
-    "DEFAULT_SLOS",
-    "REPLICATION_SLOS",
     "OVERLOAD_SLOS",
 ]
 
@@ -315,72 +313,6 @@ class SloEngine:
     def ok(self, now_us: int) -> bool:
         """True when every spec is met at ``now_us``."""
         return all(verdict.ok for verdict in self.evaluate(now_us))
-
-
-def DEFAULT_SLOS(window_us: int = 60_000_000) -> list[SloSpec]:
-    """The serving-plane objectives: availability, p99, staleness, fairness."""
-    return [
-        SloSpec(
-            name="request.availability",
-            kind="availability",
-            target=0.999,
-            window_us=window_us,
-            stream="request",
-        ),
-        SloSpec(
-            name="request.p99_latency",
-            kind="latency",
-            target=0.99,
-            threshold_us=500_000,
-            window_us=window_us,
-            stream="request.latency",
-        ),
-        SloSpec(
-            name="notify.staleness",
-            kind="staleness",
-            target=0.99,
-            threshold_us=1_000_000,
-            window_us=window_us,
-            stream="notify.staleness",
-        ),
-        SloSpec(
-            name="tenant.fairness",
-            kind="fairness",
-            target=1.5,
-            window_us=window_us,
-            stream="tenant.cpu",
-        ),
-    ]
-
-
-def REPLICATION_SLOS(window_us: int = 60_000_000) -> list[SloSpec]:
-    """Geo-replication objectives (replication lag and convergence).
-
-    Kept separate from :func:`DEFAULT_SLOS` so single-region cells are
-    not judged against streams they never feed.
-    """
-    return [
-        # 99% of replication-lag samples within 200ms of the leader: a
-        # follower further behind stops qualifying for bounded reads at
-        # the common staleness bounds, so lag *is* the staleness budget.
-        SloSpec(
-            name="replication.lag",
-            kind="staleness",
-            target=0.99,
-            threshold_us=200_000,
-            window_us=window_us,
-            stream="replication.lag",
-        ),
-        # every post-recovery convergence check must pass: all followers
-        # caught up to the leader's log after faults heal.
-        SloSpec(
-            name="replication.convergence",
-            kind="convergence",
-            target=1.0,
-            window_us=window_us,
-            stream="replication.convergence",
-        ),
-    ]
 
 
 def OVERLOAD_SLOS(window_us: int = 60_000_000) -> list[SloSpec]:

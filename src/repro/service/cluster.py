@@ -810,18 +810,6 @@ class ServingCluster:
         """Advance the simulation by the given microseconds."""
         self.kernel.run_for(duration_us)
 
-    def busy_us(self) -> int:
-        """Cumulative task-busy sim-time across every pool.
-
-        The denominator of the profiler's >= 99% coverage acceptance
-        check: every microsecond counted here must show up in the
-        profiler ledger under some (subsystem, operation, tenant).
-        """
-        total = self.frontend_pool.busy_us_total + self.backend_pool.busy_us_total
-        for pool in self._isolated_pools.values():
-            total += pool.busy_us_total
-        return total
-
     # -- observability exports -----------------------------------------------------------
 
     def export_trace(self, path: str) -> str:

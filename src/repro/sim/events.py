@@ -13,7 +13,7 @@ The kernel *is* our hardware (ROADMAP item 1): every simulated request is
 a handful of these events, so wall-clock events/sec bounds how many
 tenants a run can drive. The dispatch loop is therefore written for
 speed, and ``perflint`` (:mod:`repro.analysis.engine`) holds it to that:
-heap entries are plain ``(time_us, priority, seq, event)`` tuples so
+heap entries are plain ``(time_us, seq, event)`` tuples so
 heap sift comparisons stay in C, :class:`Event` is an allocation-lean
 ``__slots__`` record, and the one dispatch loop (:meth:`EventKernel._run`,
 which every public entry point calls) binds its hot attribute chains
@@ -35,26 +35,19 @@ _UNBOUNDED = 1 << 62
 
 class Event:
     """A scheduled callback; the kernel's heap entries order events by
-    (time, priority, sequence number).
+    (time, sequence number), so same-instant events run in insertion
+    order."""
 
-    ``priority`` defaults to 0 and only matters between events scheduled
-    for the same instant: a schedule perturber (see
-    :class:`EventKernel.perturber`) may assign non-zero priorities to
-    explore alternative-but-legal orderings of concurrent events.
-    """
-
-    __slots__ = ("time_us", "priority", "seq", "callback", "cancelled", "label")
+    __slots__ = ("time_us", "seq", "callback", "cancelled", "label")
 
     def __init__(
         self,
         time_us: int,
-        priority: int,
         seq: int,
         callback: Callable[[], None],
         label: str = "",
     ):
         self.time_us = time_us
-        self.priority = priority
         self.seq = seq
         self.callback = callback
         self.cancelled = False
@@ -66,23 +59,23 @@ class Event:
 
 
 class SchedulePerturber(Protocol):
-    """Hook deciding where a newly scheduled event lands in the order.
+    """Hook deciding when a newly scheduled event fires.
 
     ``perturb`` receives the requested absolute time, the event's label,
-    and the current time; it returns the (possibly adjusted) time and a
-    tie-break priority. Implementations must be deterministic functions
-    of their own seed — the schedule explorer (``repro.check.explorer``)
-    relies on (seed, mode) reproducing the exact same schedule.
+    and the current time; it returns the (possibly later) time.
+    Implementations must be deterministic functions of their own seed —
+    the schedule explorer (``repro.check.explorer``) relies on (seed,
+    mode) reproducing the exact same schedule.
     """
 
-    def perturb(self, time_us: int, label: str, now_us: int) -> tuple[int, int]:
+    def perturb(self, time_us: int, label: str, now_us: int) -> int:
         ...
 
 
 class EventKernel:
     """Priority-queue event loop over a :class:`SimClock`.
 
-    The heap holds ``(time_us, priority, seq, event)`` tuples: sift
+    The heap holds ``(time_us, seq, event)`` tuples: sift
     comparisons resolve on the leading ints in C, and ``seq`` is unique
     so two entries never compare equal deep enough to reach the event.
     """
@@ -99,7 +92,7 @@ class EventKernel:
         #: (requested-time, insertion) order
         self.perturber = perturber
         # entry payload is an Event (at/after) or a bare callback (post)
-        self._heap: list[tuple[int, int, int, object]] = []
+        self._heap: list[tuple[int, int, object]] = []
         self._seq = 0
         self._executed = 0
 
@@ -114,7 +107,7 @@ class EventKernel:
         return sum(
             1
             for entry in self._heap
-            if entry[3].__class__ is not Event or not entry[3].cancelled
+            if entry[2].__class__ is not Event or not entry[2].cancelled
         )
 
     @property
@@ -130,17 +123,16 @@ class EventKernel:
                 f"cannot schedule event at {time_us}us in the past "
                 f"(now={now_us}us)"
             )
-        priority = 0
         perturber = self.perturber
         if perturber is not None:
-            time_us, priority = perturber.perturb(time_us, label, now_us)
+            time_us = perturber.perturb(time_us, label, now_us)
             # a perturbation may delay but never time-travel
             if time_us < now_us:
                 time_us = now_us
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time_us, priority, seq, callback, label)
-        heappush(self._heap, (time_us, priority, seq, event))
+        event = Event(time_us, seq, callback, label)
+        heappush(self._heap, (time_us, seq, event))
         return event
 
     def after(self, delay_us: int, callback: Callable[[], None], label: str = "") -> Event:
@@ -170,11 +162,11 @@ class EventKernel:
             )
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (time_us, 0, seq, callback))
+        heappush(self._heap, (time_us, seq, callback))
 
     def _run(self, until_us: int, max_events: int) -> int:
         """The dispatch loop: run at most ``max_events`` events due by
-        ``until_us``, in (time, priority, seq) order; returns how many ran.
+        ``until_us``, in (time, seq) order; returns how many ran.
 
         Cancelled events are popped and dropped without counting.
         """
@@ -182,7 +174,7 @@ class EventKernel:
         clock = self.clock
         executed = 0
         while heap and heap[0][0] <= until_us and executed < max_events:
-            etime, _priority, _seq, item = heappop(heap)
+            etime, _seq, item = heappop(heap)
             # a heap entry carries either an Event or, for the
             # fire-and-forget post() path, the bare callback
             if item.__class__ is Event:

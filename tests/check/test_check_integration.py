@@ -34,9 +34,8 @@ def test_acceptance_run_is_clean():
 
 
 def test_isolation_scenario_survives_perturbation():
-    for mode in ("delay", "flip"):
-        result = run_chaos("isolation", 3, "none", mode=mode)
-        assert result.violations == [], mode
+    result = run_chaos("isolation", 3, "none", mode="delay")
+    assert result.violations == []
 
 
 def _one(scenario, seed, *extra):
@@ -52,6 +51,7 @@ def test_cli_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "[lost-update]" in out
     assert main(["--explore", "--modes", "chaos", "--out", "-"]) == 2
+    assert main(["--explore", "--modes", "flip", "--out", "-"]) == 2
     with pytest.raises(SystemExit):
         check_main([])
     capsys.readouterr()

@@ -3,12 +3,7 @@ seeded anomalies, and shrinking to minimal named reproducers."""
 
 import pytest
 
-from repro.check.explorer import (
-    DelayPerturber,
-    FlipPerturber,
-    MODES,
-    make_perturber,
-)
+from repro.check.explorer import DelayPerturber, MODES, make_perturber
 from repro.faults.chaos import Reproducer, default_ops, run_chaos, shrink, sweep
 
 
@@ -21,7 +16,6 @@ def explore(scenario, seeds, modes):
 def test_make_perturber():
     assert make_perturber("none", 1) is None
     assert isinstance(make_perturber("delay", 1), DelayPerturber)
-    assert isinstance(make_perturber("flip", 1), FlipPerturber)
     with pytest.raises(ValueError):
         make_perturber("chaos", 1)
 
@@ -33,21 +27,16 @@ def test_perturbers_are_seed_deterministic_and_targeted():
         return [perturber.perturb(t, label, 0) for label, t in sequence]
 
     assert run(DelayPerturber(7)) == run(DelayPerturber(7))
-    assert run(FlipPerturber(7)) == run(FlipPerturber(7))
     # untargeted labels pass through unchanged
     delayed = run(DelayPerturber(7))
-    assert delayed[1] == (100, 0)
-    flipped = run(FlipPerturber(7))
-    assert flipped[1] == (100, 0)
-    # flip perturbs priority only, never the time
-    assert all(t == orig for (t, _), (_, orig) in zip(flipped, sequence))
+    assert delayed[1] == 100
 
 
 def test_reproducer_command():
-    reproducer = Reproducer("isolation", 3, "none", "flip", 6, ("lost-update",))
+    reproducer = Reproducer("isolation", 3, "none", "delay", 6, ("lost-update",))
     assert reproducer.command() == (
         "python -m repro.faults --scenarios isolation --mixes none "
-        "--modes flip --seed-base 3 --seeds 1 --ops 6"
+        "--modes delay --seed-base 3 --seeds 1 --ops 6"
     )
 
 

@@ -10,6 +10,10 @@ code before the merge: the chaos rows by its ``run_chaos``; the
 histories and violations it recorded, in a ``ChaosRun`` at mix
 ``none``). ``commit`` is also pinned under ``chaos``, the mix CI's
 chaos-smoke step runs it with.
+
+The reach test holds the table to what it says about ``run.mode``: every
+perturbation mode changes the history of each entry in ``PERTURBED`` on
+most seeds, and changes nothing but the recorded mode anywhere else.
 """
 
 import functools
@@ -18,6 +22,7 @@ import json
 
 import pytest
 
+from repro.check.explorer import MODES
 from repro.faults.chaos import SCENARIOS, run_chaos
 from repro.obs.export import history_jsonl
 
@@ -110,13 +115,24 @@ PINS = {
 }
 
 
+#: the entries that consult ``run.mode`` (see the comment on ``SCENARIOS``)
+PERTURBED = (
+    "isolation",
+    "anomaly-lost-update",
+    "anomaly-write-skew",
+    "anomaly-non-monotonic-ts",
+)
+
+PERTURBING_MODES = [mode for mode in MODES if mode != "none"]
+
+
 def _md5(text: str) -> str:
     return hashlib.md5(text.encode()).hexdigest()
 
 
 @functools.lru_cache(maxsize=None)
-def _run(scenario: str, mix: str):
-    return run_chaos(scenario, 1, mix)
+def _run(scenario: str, mix: str, seed: int = 1, mode: str = "none"):
+    return run_chaos(scenario, seed, mix, mode=mode)
 
 
 def test_pins_cover_every_entry():
@@ -147,3 +163,23 @@ def test_a_perturbed_run_names_its_mode():
     assert run.to_dict()["mode"] == "delay"
     assert run.cell == "isolation/none/delay"
     assert "mode" not in _run("isolation", "none").to_dict()
+
+
+@pytest.mark.parametrize("mode", PERTURBING_MODES)
+@pytest.mark.parametrize("scenario", PERTURBED)
+def test_a_mode_reaches_every_entry_that_consults_it(scenario, mode):
+    def history(seed, mode):
+        return _md5(history_jsonl(_run(scenario, "none", seed, mode).histories))
+
+    differ = sum(history(seed, mode) != history(seed, "none") for seed in range(10))
+    assert differ >= 8, (scenario, mode, differ)
+
+
+@pytest.mark.parametrize("mode", PERTURBING_MODES)
+@pytest.mark.parametrize("scenario", sorted(set(SCENARIOS) - set(PERTURBED)))
+def test_a_mode_changes_nothing_else(scenario, mode):
+    natural, perturbed = _run(scenario, "none"), _run(scenario, "none", 1, mode)
+    assert history_jsonl(perturbed.histories) == history_jsonl(natural.histories)
+    summary = perturbed.to_dict()
+    assert summary.pop("mode") == mode
+    assert summary == natural.to_dict()

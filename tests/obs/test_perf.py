@@ -56,15 +56,6 @@ def test_measure_accounts_clock_delta():
     assert row["calls"] == 2
 
 
-def test_coverage():
-    profiler = Profiler()
-    assert profiler.coverage(0) == 1.0  # idle run: nothing to explain
-    profiler.account("service", "op", 99)
-    assert profiler.coverage(100) == pytest.approx(0.99)
-    # over-attribution clamps at 1.0 rather than reporting >100%
-    assert profiler.coverage(50) == 1.0
-
-
 def test_top_self_ordering_is_stable():
     profiler = Profiler()
     profiler.account("b", "op", 100)

@@ -8,7 +8,7 @@ BENCH_*.json rely on.
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import BUCKET_US, DEFAULT_SLOS, SloEngine, SloSpec
+from repro.obs.slo import BUCKET_US, OVERLOAD_SLOS, SloEngine, SloSpec
 
 SECOND = BUCKET_US  # 1 simulated second per bucket
 WINDOW = 60 * SECOND
@@ -189,12 +189,12 @@ def test_convergence_tolerates_no_failures():
 
 def test_verdict_block_is_name_sorted_and_replay_stable():
     def build():
-        engine = SloEngine(DEFAULT_SLOS(window_us=WINDOW))
+        engine = SloEngine(OVERLOAD_SLOS(window_us=WINDOW))
         for i in range(50):
-            engine.record("request", i * SECOND, i % 7 != 0)
-            engine.record_latency("request.latency", i * SECOND, 1_000 * i)
-        engine.record_share("tenant.cpu", 0, "a", 700)
-        engine.record_share("tenant.cpu", 0, "b", 300)
+            engine.record("overload.goodput", i * SECOND, i % 7 != 0)
+            engine.record("overload.recovery", i * SECOND, True)
+        engine.record_share("overload.shed", 0, "a", 700)
+        engine.record_share("overload.shed", 0, "b", 300)
         return engine.verdict_block(WINDOW - 1)
 
     first, second = build(), build()

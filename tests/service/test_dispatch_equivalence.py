@@ -199,8 +199,7 @@ class ScanPool(TaskPool):
 class _DelayEveryThird:
     """Deterministic perturber: every third scheduled event fires 40us
     late, so a task is idle by ``busy_until_us`` while its completion
-    callback is still pending; the rest get alternating priorities to
-    reorder same-instant completions."""
+    callback is still pending."""
 
     def __init__(self) -> None:
         self.count = 0
@@ -208,8 +207,8 @@ class _DelayEveryThird:
     def perturb(self, time_us: int, label: str, now_us: int):
         self.count += 1
         if self.count % 3 == 0:
-            return time_us + 40, 0
-        return time_us, self.count % 2
+            return time_us + 40
+        return time_us
 
 
 def run(pool_cls, scheduler_cls, program, fair, tasks, perturbed):
