@@ -59,10 +59,13 @@ class DelayPerturber:
         return "DelayPerturber()"
 
 
+def check_mode(mode: str) -> None:
+    """Raise ValueError unless ``mode`` is one of :data:`MODES`."""
+    if mode not in MODES:
+        raise ValueError(f"unknown perturbation mode {mode!r}; pick from {MODES}")
+
+
 def make_perturber(mode: str, seed: int):
     """The SchedulePerturber for one (mode, seed), or None for ``none``."""
-    if mode == "none":
-        return None
-    if mode == "delay":
-        return DelayPerturber(seed)
-    raise ValueError(f"unknown perturbation mode {mode!r}; pick from {MODES}")
+    check_mode(mode)
+    return DelayPerturber(seed) if mode == "delay" else None

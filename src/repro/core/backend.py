@@ -30,7 +30,9 @@ from repro.core.document import (
     validate_document_data,
 )
 from repro.core.executor import QueryExecutor, QueryResult
-from repro.core.index_entries import compute_document_entries, diff_entries
+# both names of step 4's one derivation: the commit calls diff_entries;
+# tools that wrap the index-entry layer by name expect both here
+from repro.core.index_entries import compute_document_entries, diff_entries  # noqa: F401
 from repro.core.indexes import IndexRegistry
 from repro.core.layout import (
     COMMIT_LEDGER,
@@ -44,7 +46,15 @@ from repro.core.planner import QueryPlanner
 from repro.core.query import Query
 from repro.core.serialization import deserialize_document, serialize_document
 from repro.obs.perf import NULL_PROFILER
-from repro.core.values import delete_field, get_field, set_field
+from repro.core.values import (
+    SERVER_TIMESTAMP,
+    FieldTransform,
+    Timestamp,
+    apply_transform,
+    delete_field,
+    get_field,
+    set_field,
+)
 from repro.obs.tracer import NULL_TRACER
 from repro.realtime.protocol import (
     DocumentChange,
@@ -581,18 +591,10 @@ class Backend:
                 )
                 self._check_rules(method, write.path, auth, old_doc, new_doc, txn, None)
 
-            # step 4: index entry diff
-            old_entries = (
-                compute_document_entries(self.registry, write.path, old_data)
-                if old_data is not None
-                else {}
+            # step 4: the index entry changes, from one write plan per document
+            to_delete, to_insert = diff_entries(
+                self.registry, write.path, old_data, new_data
             )
-            new_entries = (
-                compute_document_entries(self.registry, write.path, new_data)
-                if new_data is not None
-                else {}
-            )
-            to_delete, to_insert = diff_entries(old_entries, new_entries)
             for entry_key in to_delete:
                 txn.delete(INDEX_ENTRIES, self.layout.index_key(entry_key))
             for entry_key, payload in to_insert:
@@ -650,13 +652,6 @@ class Backend:
         Transforms (increment, array union/remove) resolve against the
         field's previous value in the stored document.
         """
-        from repro.core.values import (
-            SERVER_TIMESTAMP,
-            FieldTransform,
-            Timestamp,
-            apply_transform,
-        )
-
         now = Timestamp(self.layout.spanner.truetime.now().latest)
         old = old_data if old_data is not None else {}
 

@@ -55,6 +55,10 @@ _LOW_SENTINEL = b"\x00\x00"  # end of a reference/map (sorts below all content)
 ASCENDING = "asc"
 DESCENDING = "desc"
 
+#: ``bytes.translate`` table mapping each byte to its complement: a
+#: descending encoding is its ascending form passed through it
+COMPLEMENT = bytes(range(255, -1, -1))
+
 
 def _encode_escaped(raw: bytes, out: bytearray) -> None:
     """Append ``raw`` with 0x00 escaped, then the terminator."""
@@ -112,21 +116,24 @@ def _encode_segments(segments: Iterable[str], out: bytearray) -> None:
 
 def _encode_into(value: Any, out: bytearray) -> None:
     type_rank(value)  # raises InvalidArgument for unsupported types
-    if value is None:
-        out.append(TAG_NULL)
+    # most frequent types first; bool before int (a subclass), NaN (the
+    # one value unequal to itself) before the other numbers
+    if isinstance(value, str):
+        out.append(TAG_STRING)
+        _encode_escaped(value.encode("utf-8"), out)
     elif isinstance(value, bool):
         out.append(TAG_TRUE if value else TAG_FALSE)
-    elif isinstance(value, float) and math.isnan(value):
-        out.append(TAG_NAN)
     elif isinstance(value, (int, float)):
-        out.append(TAG_NUMBER)
-        _encode_number(value, out)
+        if value != value:
+            out.append(TAG_NAN)
+        else:
+            out.append(TAG_NUMBER)
+            _encode_number(value, out)
+    elif value is None:
+        out.append(TAG_NULL)
     elif isinstance(value, Timestamp):
         out.append(TAG_TIMESTAMP)
         out += struct.pack(">Q", (value.micros + (1 << 63)) & 0xFFFF_FFFF_FFFF_FFFF)
-    elif isinstance(value, str):
-        out.append(TAG_STRING)
-        _encode_escaped(value.encode("utf-8"), out)
     elif isinstance(value, bytes):
         out.append(TAG_BYTES)
         _encode_escaped(value, out)
@@ -158,11 +165,11 @@ def encode_value(value: Any, direction: str = ASCENDING) -> bytes:
     """Encode one value; descending is the bytewise complement."""
     out = bytearray()
     _encode_into(value, out)
+    if direction == ASCENDING:
+        return bytes(out)
     if direction == DESCENDING:
-        return bytes(byte ^ 0xFF for byte in out)
-    if direction != ASCENDING:
-        raise InvalidArgument(f"unknown direction: {direction!r}")
-    return bytes(out)
+        return bytes(out).translate(COMPLEMENT)
+    raise InvalidArgument(f"unknown direction: {direction!r}")
 
 
 def encode_tuple(values: Sequence[Any], directions: Sequence[str]) -> bytes:
@@ -185,7 +192,7 @@ def encode_doc_name(segments: Sequence[str], direction: str = ASCENDING) -> byte
     out = bytearray()
     _encode_segments(segments, out)
     if direction == DESCENDING:
-        return bytes(byte ^ 0xFF for byte in out)
+        return bytes(out).translate(COMPLEMENT)
     return bytes(out)
 
 

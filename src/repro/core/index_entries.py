@@ -25,11 +25,27 @@ measures.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import struct
 
 from repro.errors import InvalidArgument
-from repro.core.encoding import ASCENDING, DESCENDING, encode_doc_name, encode_value
-from repro.core.indexes import IndexDefinition, IndexMode, IndexRegistry, IndexState
+from repro.core.encoding import (
+    ASCENDING,
+    COMPLEMENT,
+    DESCENDING,
+    TAG_ARRAY,
+    decode_skip_value,
+    encode_doc_name,
+    encode_value,
+)
+from repro.core.indexes import (
+    IndexDefinition,
+    IndexField,
+    IndexMode,
+    IndexRegistry,
+    IndexState,
+)
 from repro.core.path import Path
 from repro.core.values import get_field
 
@@ -84,16 +100,233 @@ def scan_prefix(index_id: int, parent: Path, encoded_values: bytes = b"") -> byt
     return index_id_prefix(index_id) + encode_doc_name(parent.segments) + encoded_values
 
 
-def _distinct_in_order(values: list) -> list:
-    """Array elements, de-duplicated by encoding, original order."""
-    seen: set[bytes] = set()
-    out = []
-    for value in values:
-        marker = encode_value(value)
-        if marker not in seen:
-            seen.add(marker)
-            out.append(value)
-    return out
+def _elements(raw: bytes, seen: set[bytes]) -> list[bytes]:
+    """The element encodings of an encoded array that are not in ``seen``,
+    de-duplicated, in order; each is added to ``seen``. Elements are cut
+    out of the array's own bytes, never re-encoded."""
+    fresh = []
+    offset, end = 1, len(raw) - 1
+    while offset < end:
+        start = offset
+        offset = decode_skip_value(raw, start)
+        element = raw[start:offset]
+        if element not in seen:
+            seen.add(element)
+            fresh.append(element)
+    return fresh
+
+
+def _too_many(doc_path: Path) -> InvalidArgument:
+    return InvalidArgument(
+        f"document {doc_path} produces more than "
+        f"{MAX_ENTRIES_PER_DOCUMENT} index entries"
+    )
+
+
+def _composite_parts(definition: IndexDefinition, data: dict) -> list[list[bytes]]:
+    """Per indexed field, the encodings a document contributes to one
+    composite index — empty if the document lacks any indexed field
+    (documents missing a field do not appear in that index)."""
+    parts = [_field_part(index_field, data) for index_field in definition.fields]
+    return parts if all(parts) else []
+
+
+def _field_part(index_field: IndexField, data: dict) -> list[bytes]:
+    """One composite field's encodings for a document: its value in the
+    field's direction, or each distinct element of a non-empty array for
+    an array-contains field; empty if the document has no such entry."""
+    present, value = get_field(data, index_field.field_path)
+    if not present:
+        return []
+    raw = encode_value(value)
+    if index_field.mode is IndexMode.CONTAINS:
+        return _elements(raw, set()) if raw[0] == TAG_ARRAY else []
+    return [raw.translate(COMPLEMENT) if index_field.direction == DESCENDING else raw]
+
+
+def composite_entry_values(definition: IndexDefinition, data: dict) -> list[bytes]:
+    """The encoded value-tuples a document contributes to one composite
+    index — empty if the document lacks any indexed field.
+    """
+    parts = _composite_parts(definition, data)
+    return [b"".join(combo) for combo in itertools.product(*parts)] if parts else []
+
+
+def _same_objects(known, value) -> bool:
+    """Whether ``value`` (a list or map) holds the very same objects as
+    ``known``, in the same order, as a deep copy of a document holds its
+    unchanged strings and numbers: it then encodes to the same bytes."""
+    if type(value) is not type(known):
+        return False
+    if type(value) is list:
+        return len(known) == len(value) and all(map(operator.is_, known, value))
+    return tuple(known) == tuple(value) and all(
+        map(operator.is_, known.values(), value.values())
+    )
+
+
+_CONTAINERS = (list, dict)
+#: what a leaf path maps to on a side that has no such leaf
+_ABSENT = (object(), b"", None)
+
+
+def _plan(registry, group, composites, doc_path, data, other):
+    """One document's side of a write plan.
+
+    Visits every non-exempt leaf in document order, allocating its
+    automatic index ids as it goes, and encodes it once, ascending —
+    unless it holds the very objects the other side holds at that path
+    (``other``: path -> (value, encoding, distinct elements | None), first
+    occurrence), whose bytes it then reuses. Returns:
+
+    - ``leaves``: ``{(path, encoding): (asc id, desc id, contains id |
+      None, contains elements first seen here)}``; a repeated pair adds
+      nothing, as its repeated row keys would;
+    - the distinct element encodings of every array path;
+    - this side's ``other`` map;
+    - each live composite's per-field parts.
+
+    Raises ``InvalidArgument`` at the entry that first exceeds
+    ``MAX_ENTRIES_PER_DOCUMENT``, before any later id is allocated.
+    """
+    leaves = {}
+    elements: dict[str, set[bytes]] = {}
+    encoded = {}
+    if data is None:
+        return leaves, elements, encoded, [[] for _ in composites]
+    is_exempt, auto_index = registry.is_exempt, registry.auto_index
+    count = 0
+    for path, value in iter_indexable_fields(data):
+        if is_exempt(group, path):
+            continue
+        asc_id = auto_index(group, path, ASCENDING).index_id
+        known, known_raw, known_elements = other.get(path, _ABSENT)
+        if known is value or (
+            type(value) in _CONTAINERS and _same_objects(known, value)
+        ):
+            raw = known_raw
+        else:
+            raw = encode_value(value)
+        fresh = (leaf := (path, raw)) not in leaves  # a repeat adds no key
+        if (count := count + 2 * fresh) > MAX_ENTRIES_PER_DOCUMENT:
+            if count - fresh > MAX_ENTRIES_PER_DOCUMENT:  # at the ascending entry
+                raise _too_many(doc_path)
+            auto_index(group, path, DESCENDING)
+            raise _too_many(doc_path)
+        desc_id = auto_index(group, path, DESCENDING).index_id
+        if not isinstance(value, list):
+            encoded.setdefault(path, (value, raw, None))
+            if fresh:
+                leaves[leaf] = (asc_id, desc_id, None, ())
+        else:
+            contains_id = registry.auto_contains_index(group, path).index_id
+            seen = elements.setdefault(path, set())
+            if not seen and raw == known_raw:
+                first_seen = known_elements
+                seen.update(first_seen)
+            else:
+                first_seen = _elements(raw, seen)
+            encoded.setdefault(path, (value, raw, first_seen))
+            count += len(first_seen)
+            if count > MAX_ENTRIES_PER_DOCUMENT:
+                raise _too_many(doc_path)
+            if fresh:
+                leaves[leaf] = (asc_id, desc_id, contains_id, first_seen)
+    parts = []
+    for definition in composites:
+        fields = _composite_parts(definition, data)
+        parts.append(fields)
+        if fields:
+            count += math.prod(map(len, fields))
+            if count > MAX_ENTRIES_PER_DOCUMENT:
+                raise _too_many(doc_path)
+    return leaves, elements, encoded, parts
+
+
+def diff_entries(
+    registry: IndexRegistry,
+    doc_path: Path,
+    old: dict | None,
+    new: dict | None,
+) -> tuple[list[bytes], list[tuple[bytes, tuple[str, ...]]]]:
+    """The IndexEntries changes of one document write (step 4): (keys to
+    delete, (key, payload) pairs to insert).
+
+    One write plan per document: each leaf of the old and of the new
+    document is encoded once, and row keys are built only for leaves
+    whose encoded bytes differ between the two — never by Python ``==``,
+    under which ``True == 1`` although their keys differ. Composites are
+    rebuilt only when one of their fields' encodings changed. Deletes
+    follow the old document's entry order and inserts the new one's:
+    automatic entries leaf by leaf (ascending, descending, then array
+    elements), then composites. Either side may be None (create, delete).
+    """
+    parent = doc_path.parent()
+    assert parent is not None  # document paths always have a parent
+    group = parent.id
+    segments = doc_path.segments
+    scope = encode_doc_name(parent.segments)
+    name = encode_doc_name(segments)
+    name_desc = name.translate(COMPLEMENT)
+    # CREATING composites are maintained (writes conform to an on-going
+    # backfill); DELETING ones are not (writes conform to a backremoval)
+    composites = [
+        d for d in registry.composites_for(group) if d.state is not IndexState.DELETING
+    ]
+    old_leaves, old_elements, old_encoded, old_parts = _plan(
+        registry, group, composites, doc_path, old, {}
+    )
+    new_leaves, new_elements, _, new_parts = _plan(
+        registry, group, composites, doc_path, new, old_encoded
+    )
+
+    def leaf_keys(leaves, other_leaves, other_elements):
+        keys = []
+        for leaf in [leaf for leaf in leaves if leaf not in other_leaves]:
+            asc_id, desc_id, contains_id, first_seen = leaves[leaf]
+            path, raw = leaf
+            keys.append(asc_id.to_bytes(4, "big") + scope + raw + name)
+            keys.append(
+                desc_id.to_bytes(4, "big") + scope + raw.translate(COMPLEMENT) + name_desc
+            )
+            if first_seen:
+                prefix = contains_id.to_bytes(4, "big") + scope
+                keys += _element_keys(prefix, first_seen, other_elements.get(path, ()), name)
+        return keys
+
+    to_delete = leaf_keys(old_leaves, new_leaves, new_elements)
+    inserted = leaf_keys(new_leaves, old_leaves, old_elements)
+    for definition, old_fields, new_fields in zip(composites, old_parts, new_parts):
+        if old_fields != new_fields:
+            prefix = definition.index_id.to_bytes(4, "big") + scope
+            suffix = name if definition.fields[-1].direction == ASCENDING else name_desc
+            _composite_changes(
+                old_fields, new_fields, prefix, suffix, to_delete, inserted
+            )
+    return to_delete, [(key, segments) for key in inserted]
+
+
+def _element_keys(prefix: bytes, elements: list[bytes], kept, suffix: bytes) -> list:
+    """Array-contains row keys for the elements not in ``kept``, in order."""
+    return [prefix + element + suffix for element in elements if element not in kept]
+
+
+def _composite_changes(old_fields, new_fields, prefix, suffix, to_delete, inserted):
+    """Append one composite's keys the old document has and the new one
+    lacks to ``to_delete``, and the converse to ``inserted``, in order."""
+    old_keys = _composite_keys(old_fields, prefix, suffix)
+    new_keys = _composite_keys(new_fields, prefix, suffix)
+    to_delete += [key for key in old_keys if key not in new_keys]
+    inserted += [key for key in new_keys if key not in old_keys]
+
+
+def _composite_keys(parts: list[list[bytes]], prefix: bytes, suffix: bytes) -> dict:
+    """One composite's row keys for a document, in order."""
+    if not parts:
+        return {}
+    return dict.fromkeys(
+        prefix + b"".join(combo) + suffix for combo in itertools.product(*parts)
+    )
 
 
 def compute_document_entries(
@@ -101,78 +334,9 @@ def compute_document_entries(
     doc_path: Path,
     data: dict,
 ) -> dict[bytes, tuple[str, ...]]:
-    """All IndexEntries row keys this document should have right now.
-
-    Returns ``{row_key: doc_segments}``. Composite indexes in CREATING
-    state are maintained (so writes conform to an on-going backfill);
-    DELETING indexes are not (so writes conform to a backremoval).
+    """All IndexEntries row keys this document should have right now:
+    ``{row_key: doc_segments}``, the write plan of creating it. The
+    validator recomputes every document with it, so it and the commit
+    share one derivation.
     """
-    parent = doc_path.parent()
-    assert parent is not None  # document paths always have a parent
-    collection_group = parent.id
-    entries: dict[bytes, tuple[str, ...]] = {}
-    segments = doc_path.segments
-
-    def add(index_id: int, encoded_values: bytes, name_direction: str) -> None:
-        key = entry_key(index_id, parent, encoded_values, doc_path, name_direction)
-        entries[key] = segments
-        if len(entries) > MAX_ENTRIES_PER_DOCUMENT:
-            raise InvalidArgument(
-                f"document {doc_path} produces more than "
-                f"{MAX_ENTRIES_PER_DOCUMENT} index entries"
-            )
-
-    # Automatic single-field indexes: ascending + descending per indexed
-    # field, plus array-contains entries per array element.
-    for leaf_path, value in iter_indexable_fields(data):
-        if registry.is_exempt(collection_group, leaf_path):
-            continue
-        asc = registry.auto_index(collection_group, leaf_path, ASCENDING)
-        add(asc.index_id, encode_value(value, ASCENDING), ASCENDING)
-        desc = registry.auto_index(collection_group, leaf_path, DESCENDING)
-        add(desc.index_id, encode_value(value, DESCENDING), DESCENDING)
-        if isinstance(value, list):
-            contains = registry.auto_contains_index(collection_group, leaf_path)
-            for element in _distinct_in_order(value):
-                add(contains.index_id, encode_value(element, ASCENDING), ASCENDING)
-
-    # Composite indexes.
-    for definition in registry.composites_for(collection_group):
-        if definition.state is IndexState.DELETING:
-            continue
-        name_direction = definition.fields[-1].direction
-        for encoded in composite_entry_values(definition, data):
-            add(definition.index_id, encoded, name_direction)
-
-    return entries
-
-
-def composite_entry_values(definition: IndexDefinition, data: dict) -> list[bytes]:
-    """The encoded value-tuples a document contributes to one composite
-    index — empty if the document lacks any indexed field (documents
-    missing a field do not appear in that index).
-    """
-    per_field: list[list[bytes]] = []
-    for index_field in definition.fields:
-        present, value = get_field(data, index_field.field_path)
-        if not present:
-            return []
-        if index_field.mode is IndexMode.CONTAINS:
-            if not isinstance(value, list) or not value:
-                return []
-            per_field.append(
-                [encode_value(v, ASCENDING) for v in _distinct_in_order(value)]
-            )
-        else:
-            per_field.append([encode_value(value, index_field.direction)])
-    return [b"".join(combo) for combo in itertools.product(*per_field)]
-
-
-def diff_entries(
-    old: dict[bytes, tuple[str, ...]],
-    new: dict[bytes, tuple[str, ...]],
-) -> tuple[list[bytes], list[tuple[bytes, tuple[str, ...]]]]:
-    """(keys to delete, (key, payload) pairs to insert)."""
-    to_delete = [key for key in old if key not in new]
-    to_insert = [(key, payload) for key, payload in new.items() if key not in old]
-    return to_delete, to_insert
+    return dict(diff_entries(registry, doc_path, None, data)[1])

@@ -1341,8 +1341,12 @@ def run_chaos(
     cause, and attach the :mod:`repro.obs.critpath` summary to
     ``run.extra["critpath"]``. Tracing is pure observation: it never
     advances the clock or consumes workload randomness, so traced and
-    untraced runs see identical histories.
+    untraced runs see identical histories. An unknown ``mode`` raises
+    ValueError before anything runs.
     """
+    from repro.check.explorer import check_mode
+
+    check_mode(mode)
     builder, dflt = _entry(scenario)
     if ops is None:
         ops = dflt

@@ -22,7 +22,7 @@ import json
 
 import pytest
 
-from repro.check.explorer import MODES
+from repro.check.explorer import MODES, make_perturber
 from repro.faults.chaos import SCENARIOS, run_chaos
 from repro.obs.export import history_jsonl
 
@@ -163,6 +163,15 @@ def test_a_perturbed_run_names_its_mode():
     assert run.to_dict()["mode"] == "delay"
     assert run.cell == "isolation/none/delay"
     assert "mode" not in _run("isolation", "none").to_dict()
+
+
+@pytest.mark.parametrize("scenario", ["ycsb", "isolation"])
+def test_an_unknown_mode_is_refused_before_anything_runs(scenario):
+    with pytest.raises(ValueError, match="unknown perturbation mode 'flip'") as refused:
+        run_chaos(scenario, 1, "none", 10, mode="flip")
+    with pytest.raises(ValueError) as made:
+        make_perturber("flip", 1)
+    assert str(refused.value) == str(made.value)
 
 
 @pytest.mark.parametrize("mode", PERTURBING_MODES)
