@@ -30,8 +30,7 @@ from repro.core.document import (
     validate_document_data,
 )
 from repro.core.executor import QueryExecutor, QueryResult
-# both names of step 4's one derivation: the commit calls diff_entries;
-# tools that wrap the index-entry layer by name expect both here
+# compute_document_entries is unused here; the ladder's tracer test looks it up
 from repro.core.index_entries import compute_document_entries, diff_entries  # noqa: F401
 from repro.core.indexes import IndexRegistry
 from repro.core.layout import (

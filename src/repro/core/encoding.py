@@ -31,7 +31,7 @@ import struct
 from typing import Any, Iterable, Sequence
 
 from repro.errors import InvalidArgument
-from repro.core.values import GeoPoint, Reference, Timestamp, type_rank
+from repro.core.values import GeoPoint, Reference, Timestamp
 
 # Type tags, ascending in Firestore's cross-type order. All >= 0x01 so a
 # 0x00 byte unambiguously terminates arrays/maps.
@@ -115,9 +115,9 @@ def _encode_segments(segments: Iterable[str], out: bytearray) -> None:
 
 
 def _encode_into(value: Any, out: bytearray) -> None:
-    type_rank(value)  # raises InvalidArgument for unsupported types
     # most frequent types first; bool before int (a subclass), NaN (the
-    # one value unequal to itself) before the other numbers
+    # one value unequal to itself) before the other numbers; any other
+    # type is refused last
     if isinstance(value, str):
         out.append(TAG_STRING)
         _encode_escaped(value.encode("utf-8"), out)
@@ -157,7 +157,7 @@ def _encode_into(value: Any, out: bytearray) -> None:
             _encode_escaped(key.encode("utf-8"), out)
             _encode_into(value[key], out)
         out += _LOW_SENTINEL
-    else:  # pragma: no cover - type_rank already rejected it
+    else:
         raise InvalidArgument(f"unsupported value type: {type(value).__name__}")
 
 

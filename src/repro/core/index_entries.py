@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import struct
 
 from repro.errors import InvalidArgument
@@ -35,13 +34,11 @@ from repro.core.encoding import (
     COMPLEMENT,
     DESCENDING,
     TAG_ARRAY,
-    decode_skip_value,
     encode_doc_name,
     encode_value,
 )
 from repro.core.indexes import (
     IndexDefinition,
-    IndexField,
     IndexMode,
     IndexRegistry,
     IndexState,
@@ -100,22 +97,6 @@ def scan_prefix(index_id: int, parent: Path, encoded_values: bytes = b"") -> byt
     return index_id_prefix(index_id) + encode_doc_name(parent.segments) + encoded_values
 
 
-def _elements(raw: bytes, seen: set[bytes]) -> list[bytes]:
-    """The element encodings of an encoded array that are not in ``seen``,
-    de-duplicated, in order; each is added to ``seen``. Elements are cut
-    out of the array's own bytes, never re-encoded."""
-    fresh = []
-    offset, end = 1, len(raw) - 1
-    while offset < end:
-        start = offset
-        offset = decode_skip_value(raw, start)
-        element = raw[start:offset]
-        if element not in seen:
-            seen.add(element)
-            fresh.append(element)
-    return fresh
-
-
 def _too_many(doc_path: Path) -> InvalidArgument:
     return InvalidArgument(
         f"document {doc_path} produces more than "
@@ -123,25 +104,39 @@ def _too_many(doc_path: Path) -> InvalidArgument:
     )
 
 
-def _composite_parts(definition: IndexDefinition, data: dict) -> list[list[bytes]]:
+def _refuse(registry: IndexRegistry, group: str, path: str, count: int, doc_path: Path):
+    """Raise for a new leaf that finds ``count`` entries, one short of the
+    cap or at it: its ascending id is allocated already, and its
+    descending one too when only its descending entry is one too many."""
+    if count < MAX_ENTRIES_PER_DOCUMENT:
+        registry.auto_index(group, path, DESCENDING)
+    raise _too_many(doc_path)
+
+
+def _composite_parts(definition: IndexDefinition, data: dict) -> list[list[bytes]] | tuple:
     """Per indexed field, the encodings a document contributes to one
-    composite index — empty if the document lacks any indexed field
-    (documents missing a field do not appear in that index)."""
-    parts = [_field_part(index_field, data) for index_field in definition.fields]
-    return parts if all(parts) else []
-
-
-def _field_part(index_field: IndexField, data: dict) -> list[bytes]:
-    """One composite field's encodings for a document: its value in the
-    field's direction, or each distinct element of a non-empty array for
-    an array-contains field; empty if the document has no such entry."""
-    present, value = get_field(data, index_field.field_path)
-    if not present:
-        return []
-    raw = encode_value(value)
-    if index_field.mode is IndexMode.CONTAINS:
-        return _elements(raw, set()) if raw[0] == TAG_ARRAY else []
-    return [raw.translate(COMPLEMENT) if index_field.direction == DESCENDING else raw]
+    composite index: its value in the field's direction, or each distinct
+    element of a non-empty array for an array-contains field — empty if
+    the document lacks any indexed field (documents missing a field do
+    not appear in that index)."""
+    parts = []
+    for index_field in definition.fields:
+        present, value = get_field(data, index_field.field_path)
+        if not present:
+            return ()
+        if index_field.mode is IndexMode.CONTAINS:
+            if not isinstance(value, list) or not value:
+                return ()
+            # reprolint: disable=hot-loop-alloc -- an array-contains field's part is its distinct elements; composites have a handful of fields
+            part = list(dict.fromkeys(map(encode_value, value)))
+        elif index_field.direction == DESCENDING:
+            # reprolint: disable=hot-loop-alloc -- a field's one encoding is its part, the sequence itertools.product takes
+            part = [encode_value(value).translate(COMPLEMENT)]
+        else:
+            # reprolint: disable=hot-loop-alloc -- a field's one encoding is its part, the sequence itertools.product takes
+            part = [encode_value(value)]
+        parts.append(part)
+    return parts
 
 
 def composite_entry_values(definition: IndexDefinition, data: dict) -> list[bytes]:
@@ -152,38 +147,18 @@ def composite_entry_values(definition: IndexDefinition, data: dict) -> list[byte
     return [b"".join(combo) for combo in itertools.product(*parts)] if parts else []
 
 
-def _same_objects(known, value) -> bool:
-    """Whether ``value`` (a list or map) holds the very same objects as
-    ``known``, in the same order, as a deep copy of a document holds its
-    unchanged strings and numbers: it then encodes to the same bytes."""
-    if type(value) is not type(known):
-        return False
-    if type(value) is list:
-        return len(known) == len(value) and all(map(operator.is_, known, value))
-    return tuple(known) == tuple(value) and all(
-        map(operator.is_, known.values(), value.values())
-    )
-
-
-_CONTAINERS = (list, dict)
-#: what a leaf path maps to on a side that has no such leaf
-_ABSENT = (object(), b"", None)
-
-
-def _plan(registry, group, composites, doc_path, data, other):
+def _plan(registry, group, composites, doc_path, data):
     """One document's side of a write plan.
 
     Visits every non-exempt leaf in document order, allocating its
-    automatic index ids as it goes, and encodes it once, ascending —
-    unless it holds the very objects the other side holds at that path
-    (``other``: path -> (value, encoding, distinct elements | None), first
-    occurrence), whose bytes it then reuses. Returns:
+    automatic index ids as it goes, and encodes it once, ascending; an
+    array is encoded from its elements' encodings, so each element is
+    encoded once too. Returns:
 
     - ``leaves``: ``{(path, encoding): (asc id, desc id, contains id |
       None, contains elements first seen here)}``; a repeated pair adds
       nothing, as its repeated row keys would;
     - the distinct element encodings of every array path;
-    - this side's ``other`` map;
     - each live composite's per-field parts.
 
     Raises ``InvalidArgument`` at the entry that first exceeds
@@ -191,47 +166,35 @@ def _plan(registry, group, composites, doc_path, data, other):
     """
     leaves = {}
     elements: dict[str, set[bytes]] = {}
-    encoded = {}
     if data is None:
-        return leaves, elements, encoded, [[] for _ in composites]
+        return leaves, elements, [() for _ in composites]
     is_exempt, auto_index = registry.is_exempt, registry.auto_index
-    count = 0
+    last = MAX_ENTRIES_PER_DOCUMENT - 1
+    extra = 0  # entries besides each distinct leaf's ascending and descending one
     for path, value in iter_indexable_fields(data):
         if is_exempt(group, path):
             continue
         asc_id = auto_index(group, path, ASCENDING).index_id
-        known, known_raw, known_elements = other.get(path, _ABSENT)
-        if known is value or (
-            type(value) in _CONTAINERS and _same_objects(known, value)
-        ):
-            raw = known_raw
-        else:
-            raw = encode_value(value)
-        fresh = (leaf := (path, raw)) not in leaves  # a repeat adds no key
-        if (count := count + 2 * fresh) > MAX_ENTRIES_PER_DOCUMENT:
-            if count - fresh > MAX_ENTRIES_PER_DOCUMENT:  # at the ascending entry
-                raise _too_many(doc_path)
-            auto_index(group, path, DESCENDING)
-            raise _too_many(doc_path)
-        desc_id = auto_index(group, path, DESCENDING).index_id
         if not isinstance(value, list):
-            encoded.setdefault(path, (value, raw, None))
-            if fresh:
-                leaves[leaf] = (asc_id, desc_id, None, ())
+            leaf = path, encode_value(value)
+            if 2 * len(leaves) + extra >= last and leaf not in leaves:
+                _refuse(registry, group, path, 2 * len(leaves) + extra, doc_path)
+            leaves.setdefault(leaf, (asc_id, auto_index(group, path, DESCENDING).index_id, None, ()))
         else:
+            # an array encodes as its tag, its elements' encodings, then 0x00
+            element_raws = list(map(encode_value, value))
+            leaf = path, TAG_ARRAY.to_bytes(1, "big") + b"".join(element_raws) + b"\x00"
+            if 2 * len(leaves) + extra >= last and leaf not in leaves:
+                _refuse(registry, group, path, 2 * len(leaves) + extra, doc_path)
+            desc_id = auto_index(group, path, DESCENDING).index_id
             contains_id = registry.auto_contains_index(group, path).index_id
             seen = elements.setdefault(path, set())
-            if not seen and raw == known_raw:
-                first_seen = known_elements
-                seen.update(first_seen)
-            else:
-                first_seen = _elements(raw, seen)
-            encoded.setdefault(path, (value, raw, first_seen))
-            count += len(first_seen)
-            if count > MAX_ENTRIES_PER_DOCUMENT:
+            first_seen = list(itertools.filterfalse(seen.__contains__, dict.fromkeys(element_raws)))
+            seen.update(first_seen)
+            leaves.setdefault(leaf, (asc_id, desc_id, contains_id, first_seen))
+            if 2 * len(leaves) + (extra := extra + len(first_seen)) > MAX_ENTRIES_PER_DOCUMENT:
                 raise _too_many(doc_path)
-            if fresh:
-                leaves[leaf] = (asc_id, desc_id, contains_id, first_seen)
+    count = 2 * len(leaves) + extra
     parts = []
     for definition in composites:
         fields = _composite_parts(definition, data)
@@ -240,7 +203,7 @@ def _plan(registry, group, composites, doc_path, data, other):
             count += math.prod(map(len, fields))
             if count > MAX_ENTRIES_PER_DOCUMENT:
                 raise _too_many(doc_path)
-    return leaves, elements, encoded, parts
+    return leaves, elements, parts
 
 
 def diff_entries(
@@ -273,16 +236,12 @@ def diff_entries(
     composites = [
         d for d in registry.composites_for(group) if d.state is not IndexState.DELETING
     ]
-    old_leaves, old_elements, old_encoded, old_parts = _plan(
-        registry, group, composites, doc_path, old, {}
-    )
-    new_leaves, new_elements, _, new_parts = _plan(
-        registry, group, composites, doc_path, new, old_encoded
-    )
+    old_leaves, old_elements, old_parts = _plan(registry, group, composites, doc_path, old)
+    new_leaves, new_elements, new_parts = _plan(registry, group, composites, doc_path, new)
 
     def leaf_keys(leaves, other_leaves, other_elements):
         keys = []
-        for leaf in [leaf for leaf in leaves if leaf not in other_leaves]:
+        for leaf in itertools.filterfalse(other_leaves.__contains__, leaves):
             asc_id, desc_id, contains_id, first_seen = leaves[leaf]
             path, raw = leaf
             keys.append(asc_id.to_bytes(4, "big") + scope + raw + name)
@@ -291,7 +250,9 @@ def diff_entries(
             )
             if first_seen:
                 prefix = contains_id.to_bytes(4, "big") + scope
-                keys += _element_keys(prefix, first_seen, other_elements.get(path, ()), name)
+                kept = other_elements.get(path, ())
+                # reprolint: disable=hot-loop-alloc -- one key per array element the other side lacks; only changed arrays reach here
+                keys += [prefix + element + name for element in first_seen if element not in kept]
         return keys
 
     to_delete = leaf_keys(old_leaves, new_leaves, new_elements)
@@ -300,24 +261,13 @@ def diff_entries(
         if old_fields != new_fields:
             prefix = definition.index_id.to_bytes(4, "big") + scope
             suffix = name if definition.fields[-1].direction == ASCENDING else name_desc
-            _composite_changes(
-                old_fields, new_fields, prefix, suffix, to_delete, inserted
-            )
+            old_keys = _composite_keys(old_fields, prefix, suffix)
+            new_keys = _composite_keys(new_fields, prefix, suffix)
+            # reprolint: disable=hot-loop-alloc -- the keys one changed composite drops; unchanged composites never reach here
+            to_delete += [key for key in old_keys if key not in new_keys]
+            # reprolint: disable=hot-loop-alloc -- the keys one changed composite gains; unchanged composites never reach here
+            inserted += [key for key in new_keys if key not in old_keys]
     return to_delete, [(key, segments) for key in inserted]
-
-
-def _element_keys(prefix: bytes, elements: list[bytes], kept, suffix: bytes) -> list:
-    """Array-contains row keys for the elements not in ``kept``, in order."""
-    return [prefix + element + suffix for element in elements if element not in kept]
-
-
-def _composite_changes(old_fields, new_fields, prefix, suffix, to_delete, inserted):
-    """Append one composite's keys the old document has and the new one
-    lacks to ``to_delete``, and the converse to ``inserted``, in order."""
-    old_keys = _composite_keys(old_fields, prefix, suffix)
-    new_keys = _composite_keys(new_fields, prefix, suffix)
-    to_delete += [key for key in old_keys if key not in new_keys]
-    inserted += [key for key in new_keys if key not in old_keys]
 
 
 def _composite_keys(parts: list[list[bytes]], prefix: bytes, suffix: bytes) -> dict:
