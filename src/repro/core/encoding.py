@@ -172,6 +172,12 @@ def encode_value(value: Any, direction: str = ASCENDING) -> bytes:
     raise InvalidArgument(f"unknown direction: {direction!r}")
 
 
+def join_array(element_encodings: Sequence[bytes]) -> bytes:
+    """An array's ascending encoding joined from its elements' ascending
+    encodings: the bytes ``encode_value`` gives for the list."""
+    return TAG_ARRAY.to_bytes(1, "big") + b"".join(element_encodings) + b"\x00"
+
+
 def encode_tuple(values: Sequence[Any], directions: Sequence[str]) -> bytes:
     """Encode an n-tuple of values with per-component directions."""
     if len(values) != len(directions):

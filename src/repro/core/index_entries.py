@@ -33,9 +33,9 @@ from repro.core.encoding import (
     ASCENDING,
     COMPLEMENT,
     DESCENDING,
-    TAG_ARRAY,
     encode_doc_name,
     encode_value,
+    join_array,
 )
 from repro.core.indexes import (
     IndexDefinition,
@@ -181,9 +181,8 @@ def _plan(registry, group, composites, doc_path, data):
                 _refuse(registry, group, path, 2 * len(leaves) + extra, doc_path)
             leaves.setdefault(leaf, (asc_id, auto_index(group, path, DESCENDING).index_id, None, ()))
         else:
-            # an array encodes as its tag, its elements' encodings, then 0x00
             element_raws = list(map(encode_value, value))
-            leaf = path, TAG_ARRAY.to_bytes(1, "big") + b"".join(element_raws) + b"\x00"
+            leaf = path, join_array(element_raws)
             if 2 * len(leaves) + extra >= last and leaf not in leaves:
                 _refuse(registry, group, path, 2 * len(leaves) + extra, doc_path)
             desc_id = auto_index(group, path, DESCENDING).index_id

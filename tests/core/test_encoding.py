@@ -11,6 +11,7 @@ from repro.core.encoding import (
     encode_doc_name,
     encode_tuple,
     encode_value,
+    join_array,
     prefix_successor,
 )
 from repro.core.values import GeoPoint, Reference, Timestamp, compare_values
@@ -180,6 +181,12 @@ def test_property_encoding_matches_compare(a, b):
 def test_property_skip_value_total(value):
     encoded = encode_value(value)
     assert decode_skip_value(encoded, 0) == len(encoded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(firestore_values(), max_size=4))
+def test_property_join_array_is_the_list_encoding(values):
+    assert join_array([encode_value(v) for v in values]) == encode_value(values)
 
 
 @settings(max_examples=200, deadline=None)
