@@ -37,12 +37,7 @@ from repro.core.encoding import (
     encode_value,
     join_array,
 )
-from repro.core.indexes import (
-    IndexDefinition,
-    IndexMode,
-    IndexRegistry,
-    IndexState,
-)
+from repro.core.indexes import IndexDefinition, IndexMode, IndexRegistry, IndexState
 from repro.core.path import Path
 from repro.core.values import get_field
 
